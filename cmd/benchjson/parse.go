@@ -46,7 +46,9 @@ func parse(r io.Reader) (*Document, error) {
 			doc.Goos = strings.TrimPrefix(line, "goos: ")
 		case strings.HasPrefix(line, "goarch: "):
 			doc.Goarch = strings.TrimPrefix(line, "goarch: ")
-		case strings.HasPrefix(line, "pkg: "):
+		case strings.HasPrefix(line, "pkg: ") && doc.Pkg == "":
+			// A multi-package run prints one pkg line per package; the
+			// artifact names the first, the module's root.
 			doc.Pkg = strings.TrimPrefix(line, "pkg: ")
 		case strings.HasPrefix(line, "cpu: "):
 			doc.CPU = strings.TrimPrefix(line, "cpu: ")

@@ -49,3 +49,17 @@ func TestParseIgnoresNonBenchLines(t *testing.T) {
 		t.Fatalf("malformed line parsed: %+v", doc.Benchmarks)
 	}
 }
+
+func TestParseMultiPackage(t *testing.T) {
+	doc, err := parse(strings.NewReader(sample + "pkg: dmafault/internal/kexec\n" +
+		"BenchmarkExtractBuildOffsets-8   	     126	  10493374 ns/op	 8336945 B/op	       4 allocs/op\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if doc.Pkg != "dmafault" {
+		t.Errorf("Pkg = %q, want the first package", doc.Pkg)
+	}
+	if len(doc.Benchmarks) != 3 || doc.Benchmarks[2].Name != "BenchmarkExtractBuildOffsets-8" {
+		t.Fatalf("benchmarks: %+v", doc.Benchmarks)
+	}
+}

@@ -354,8 +354,8 @@ func TestPoisonShardBisection(t *testing.T) {
 // scenario-stall fault) — slow enough to make a shard a straggler, finite
 // enough to keep the test quick (the steal doubles every execution, so the
 // set stays small).
-func stallSet() []campaign.Scenario {
-	set := make([]campaign.Scenario, 4)
+func stallSet(n int) []campaign.Scenario {
+	set := make([]campaign.Scenario, n)
 	for i := range set {
 		set[i] = campaign.Scenario{
 			Kind: campaign.KindWindowLadder, Seed: int64(3000 + i),
@@ -365,12 +365,52 @@ func stallSet() []campaign.Scenario {
 	return set
 }
 
+// TestStealWaitsForAnIdleWorker: a long shard and a short one on two
+// workers. When the steal delay first elapses both workers are busy; once
+// the short shard drains, the long shard must still be stolen by the worker
+// that went idle. One lease per worker keeps the two shards apart.
+func TestStealWaitsForAnIdleWorker(t *testing.T) {
+	set := stallSet(5) // shards of 4 and 1 stall scenarios
+	eng := campaign.Engine{Workers: 2}
+	ref, err := eng.RunCtx(context.Background(), set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ref.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	a, b := newWorker(t), newWorker(t)
+	c := New(Config{
+		Workers:            []string{a.URL, b.URL},
+		ShardSize:          4,
+		MaxLeasesPerWorker: 1,
+		Heartbeat:          25 * time.Millisecond,
+		StealAfter:         100 * time.Millisecond,
+	})
+	sum, err := c.Run(context.Background(), set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := sum.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("summary differs under work stealing (%d vs %d bytes)", len(got), len(want))
+	}
+	if v := c.Metrics().Steals.Value(); v != 1 {
+		t.Fatalf("fabric_steals_total = %d, want 1 (the long shard, once the short one drained)", v)
+	}
+}
+
 // TestStragglerWorkSteal: with one slow shard leased and a second worker
 // idle, the steal timer must speculatively re-lease it; whichever delivery
 // lands first wins and the bytes stay identical to a single-node run.
 func TestStragglerWorkSteal(t *testing.T) {
 	eng := campaign.Engine{Workers: 2}
-	ref, err := eng.RunCtx(context.Background(), stallSet())
+	ref, err := eng.RunCtx(context.Background(), stallSet(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -386,7 +426,7 @@ func TestStragglerWorkSteal(t *testing.T) {
 		Heartbeat:  25 * time.Millisecond,
 		StealAfter: 100 * time.Millisecond,
 	})
-	sum, err := c.Run(context.Background(), stallSet())
+	sum, err := c.Run(context.Background(), stallSet(4))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -150,9 +150,9 @@ type Config struct {
 	// default transport. Ignored by NewClient/Probe overrides.
 	Transport http.RoundTripper
 	// StealAfter enables straggler work stealing: a shard lease still
-	// outstanding after this long is speculatively re-leased to an idle
-	// worker, both leases race, and the exactly-once gate drops the loser's
-	// results (0: disabled).
+	// outstanding after this long is speculatively re-leased to the first
+	// idle worker (checked every StealAfter), both leases race, and the
+	// exactly-once gate drops the loser's results (0: disabled).
 	StealAfter time.Duration
 	// ByzantineThreshold is the consecutive integrity-rejected deliveries
 	// that quarantine a worker (0: DefaultByzantineAfter).
@@ -399,7 +399,17 @@ func (c *Coordinator) Run(ctx context.Context, scenarios []campaign.Scenario) (*
 	defer stopHB()
 	go c.reg.Heartbeat(hbCtx, c.cfg.heartbeat())
 	if c.fleet != nil {
-		go c.fleet.Run(hbCtx)
+		// Join the scrape loop before returning, so a scrape in flight at
+		// the end cannot change the plane's state after Run returns.
+		scraped := make(chan struct{})
+		go func() {
+			defer close(scraped)
+			c.fleet.Run(hbCtx)
+		}()
+		defer func() {
+			stopHB()
+			<-scraped
+		}()
 	}
 
 	err := par.ForEachCtx(ctx, len(shards), len(shards), func(ctx context.Context, i int) error {
@@ -660,24 +670,26 @@ func (c *Coordinator) runNotedLease(ctx context.Context, sh shard, ref *WorkerRe
 // gate silently drops the loser's results, so whichever valid delivery
 // lands first wins and byte-identity is untouched. The thief is acquired
 // non-blocking and only when fully idle — stealing spends spare capacity on
-// tail latency and must never delay another shard's primary lease.
+// tail latency and must never delay another shard's primary lease. With no
+// idle worker when the delay elapses, the check repeats every StealAfter:
+// the tail shard of a campaign is typically leased while every worker is
+// still busy, and becomes a straggler only as the others drain.
 func (c *Coordinator) runLeaseStealing(ctx context.Context, sh shard, ref *WorkerRef) error {
 	pctx, pcancel := context.WithCancel(ctx)
 	defer pcancel()
 	pdone := make(chan error, 1)
 	go func() { pdone <- c.runNotedLease(pctx, sh, ref) }()
 
-	timer := time.NewTimer(c.cfg.StealAfter)
-	defer timer.Stop()
-	select {
-	case err := <-pdone:
-		return err
-	case <-timer.C:
-	}
-	thief := c.reg.AcquireIdle(ref.URL)
-	if thief == nil {
-		// No spare capacity; the primary remains the only lease.
-		return <-pdone
+	ticker := time.NewTicker(c.cfg.StealAfter)
+	defer ticker.Stop()
+	var thief *WorkerRef
+	for thief == nil {
+		select {
+		case err := <-pdone:
+			return err
+		case <-ticker.C:
+		}
+		thief = c.reg.AcquireIdle(ref.URL)
 	}
 	c.m.Steals.Inc()
 	c.m.LeasesGranted.Inc()

@@ -19,7 +19,7 @@ var (
 	ErrCET = errors.New("kexec: CET fault: shadow stack mismatch on return")
 	// ErrInvalidOpcode is raised on undecodable bytes.
 	ErrInvalidOpcode = errors.New("kexec: invalid opcode")
-	// ErrRuntaway bounds interpretation.
+	// ErrRunaway bounds interpretation.
 	ErrRunaway = errors.New("kexec: runaway execution (step limit)")
 )
 

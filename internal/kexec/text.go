@@ -16,6 +16,8 @@
 package kexec
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math/rand"
 
 	"dmafault/internal/layout"
@@ -56,49 +58,152 @@ const (
 	PivotDisplacement = 0x10
 )
 
-// Text is the kernel's executable image plus its base address.
-type Text struct {
-	base  layout.Addr
-	bytes []byte
+// gadgetPrefix is the part of the image FindGadget needs: every planted
+// gadget ends inside it, so the first gadget of each kind does too.
+const gadgetPrefix = offHalt + 0x100
+
+// pivotPattern is the lea prefix the filler is scrubbed of.
+var pivotPattern = []byte{opLeaPfx0, opLeaPfx1, opLeaPfx2}
+
+// plants are the exploit-relevant gadgets, in offset order.
+var plants = []struct {
+	off  int
+	code []byte
+}{
+	{offPivot, []byte{opLeaPfx0, opLeaPfx1, opLeaPfx2, PivotDisplacement, opRet}},
+	{offPopRDI, []byte{opPopRDI, opRet}},
+	{offPopRAX, []byte{opPopRAX, opRet}},
+	{offPopRSI, []byte{opPopRSI, opRet}},
+	{offMovRDIRAX, []byte{opMovRDIRAX, opRet}},
+	{offHalt, []byte{opHalt}},
 }
 
-// NewText synthesizes a kernel text image: deterministic pseudo-random
-// "instructions" with the exploit-relevant gadgets planted at fixed offsets
-// (real kernels likewise contain such gadgets at build-determined offsets).
+// numGadgetKinds is the number of GadgetKind values the scanner reports.
+const numGadgetKinds = int(GadgetHalt) + 1
+
+// Text is the kernel's executable image plus its base address.
+//
+// The image is deterministic pseudo-random "instructions" with the
+// exploit-relevant gadgets planted at fixed offsets (real kernels likewise
+// contain such gadgets at build-determined offsets). It is generated
+// lazily, as a growing prefix: the filler is drawn strictly in order from
+// one math/rand stream with Rand.Read's framing, and the pivot scrub and
+// the plants resume where the previous extension stopped, so every prefix
+// holds exactly the bytes an all-at-once generation would. FindGadget needs
+// only the first gadgetPrefix bytes; the rest is generated when something
+// fetches or scans past them.
+type Text struct {
+	base layout.Addr
+	rng  *rand.Rand
+	// word holds the left bytes of the last filler draw.
+	word int64
+	left int
+	// bytes is the generated prefix of the image.
+	bytes []byte
+	// scrubbed is the first index the pivot scrub has not examined yet;
+	// planted counts the plants already written.
+	scrubbed, planted int
+
+	// The gadget index: the first gadget of each kind, in Scan order.
+	indexed bool
+	first   [numGadgetKinds]Gadget
+	found   [numGadgetKinds]bool
+}
+
+// NewText returns the kernel text image for a seed. It generates nothing:
+// the image materializes on first use.
 func NewText(base layout.Addr, seed int64) *Text {
-	t := &Text{base: base, bytes: make([]byte, TextSize)}
-	rng := rand.New(rand.NewSource(seed))
-	rng.Read(t.bytes)
-	// Keep accidental pivots out of the filler so gadget discovery is
-	// deterministic: break up any 48 8d 67 run.
-	for i := 0; i+2 < len(t.bytes); i++ {
-		if t.bytes[i] == opLeaPfx0 && t.bytes[i+1] == opLeaPfx1 && t.bytes[i+2] == opLeaPfx2 {
-			t.bytes[i+2] = opNop
-		}
+	return &Text{base: base, rng: rand.New(rand.NewSource(seed))}
+}
+
+// need makes the first n bytes of the image available: the gadget prefix,
+// or the whole image once anything past it is needed.
+func (t *Text) need(n int) {
+	switch {
+	case n <= len(t.bytes):
+	case n <= gadgetPrefix:
+		t.grow(gadgetPrefix)
+	default:
+		t.grow(TextSize)
 	}
-	plant := func(off int, bs ...byte) { copy(t.bytes[off:], bs) }
-	plant(offPivot, opLeaPfx0, opLeaPfx1, opLeaPfx2, PivotDisplacement, opRet)
-	plant(offPopRDI, opPopRDI, opRet)
-	plant(offPopRAX, opPopRAX, opRet)
-	plant(offPopRSI, opPopRSI, opRet)
-	plant(offMovRDIRAX, opMovRDIRAX, opRet)
-	plant(offHalt, opHalt)
-	return t
+}
+
+// grow extends the generated image to its first n bytes.
+func (t *Text) grow(n int) {
+	if n <= len(t.bytes) {
+		return
+	}
+	lo := len(t.bytes)
+	b := make([]byte, n)
+	copy(b, t.bytes)
+	t.bytes = b
+	t.draw(b[lo:])
+	// Keep accidental pivots out of the filler so gadget discovery is
+	// deterministic: break up any 48 8d 67 run. The pattern cannot overlap
+	// itself, so resuming after a match examines what a byte-by-byte pass
+	// would; the last two positions wait for the next extension.
+	for {
+		j := bytes.Index(b[t.scrubbed:], pivotPattern)
+		if j < 0 {
+			break
+		}
+		t.scrubbed += j
+		b[t.scrubbed+2] = opNop
+		t.scrubbed += 3
+	}
+	t.scrubbed = max(t.scrubbed, n-2)
+	// Plant a gadget once every scrub window over its bytes was examined
+	// on the filler, as if the whole image had been scrubbed first.
+	for t.planted < len(plants) {
+		p := plants[t.planted]
+		if p.off+len(p.code) > t.scrubbed {
+			break
+		}
+		copy(b[p.off:], p.code)
+		t.planted++
+	}
+}
+
+// draw fills b with the next filler bytes. The framing is math/rand's
+// Rand.Read: seven little-endian bytes per Int63, the rest of a draw
+// carried into the next call. Whole words are stored eight bytes at a time,
+// the eighth overwritten by the next word, which is several times faster
+// than Rand.Read's byte loop.
+func (t *Text) draw(b []byte) {
+	i := 0
+	for ; i < len(b) && t.left > 0; i++ {
+		b[i], t.word, t.left = byte(t.word), t.word>>8, t.left-1
+	}
+	for ; i+8 <= len(b); i += 7 {
+		binary.LittleEndian.PutUint64(b[i:], uint64(t.rng.Int63()))
+	}
+	for ; i < len(b); i++ {
+		if t.left == 0 {
+			t.word, t.left = t.rng.Int63(), 7
+		}
+		b[i], t.word, t.left = byte(t.word), t.word>>8, t.left-1
+	}
 }
 
 // Base returns the (KASLR-randomized) load address of the image.
 func (t *Text) Base() layout.Addr { return t.base }
 
 // Size returns the image size in bytes.
-func (t *Text) Size() uint64 { return uint64(len(t.bytes)) }
+func (t *Text) Size() uint64 { return TextSize }
 
 // Contains reports whether the address falls inside the image.
 func (t *Text) Contains(a layout.Addr) bool {
-	return a >= t.base && a < t.base+layout.Addr(len(t.bytes))
+	return a >= t.base && a < t.base+TextSize
 }
 
 // fetch returns the byte at the address (caller checked Contains).
-func (t *Text) fetch(a layout.Addr) byte { return t.bytes[a-t.base] }
+func (t *Text) fetch(a layout.Addr) byte {
+	off := int(a - t.base)
+	if off >= len(t.bytes) {
+		t.need(off + 1)
+	}
+	return t.bytes[off]
+}
 
 // Gadget is one scanner finding.
 type Gadget struct {
@@ -143,39 +248,87 @@ func (k GadgetKind) String() string {
 // instruction sequences that end in a return (plus hlt terminators), the way
 // §6 located the JOP gadget "%rsp = %rdi + const".
 func (t *Text) Scan() []Gadget {
+	t.need(TextSize)
 	var out []Gadget
-	for i := 0; i < len(t.bytes); i++ {
-		switch t.bytes[i] {
-		case opRet:
-			// Look backward for a recognized sequence ending here.
-			if i >= 4 && t.bytes[i-4] == opLeaPfx0 && t.bytes[i-3] == opLeaPfx1 && t.bytes[i-2] == opLeaPfx2 {
-				out = append(out, Gadget{Offset: uint64(i - 4), Kind: GadgetPivot, Imm: t.bytes[i-1]})
-			}
-			if i >= 1 {
-				switch t.bytes[i-1] {
-				case opPopRDI:
-					out = append(out, Gadget{Offset: uint64(i - 1), Kind: GadgetPopRDI})
-				case opPopRAX:
-					out = append(out, Gadget{Offset: uint64(i - 1), Kind: GadgetPopRAX})
-				case opPopRSI:
-					out = append(out, Gadget{Offset: uint64(i - 1), Kind: GadgetPopRSI})
-				case opMovRDIRAX:
-					out = append(out, Gadget{Offset: uint64(i - 1), Kind: GadgetMovRDIRAX})
-				}
-			}
-		case opHalt:
-			out = append(out, Gadget{Offset: uint64(i), Kind: GadgetHalt})
-		}
-	}
+	scanGadgets(t.bytes, func(g Gadget) bool {
+		out = append(out, g)
+		return true
+	})
 	return out
 }
 
-// FindGadget returns the first gadget of the kind, as an image offset.
-func (t *Text) FindGadget(kind GadgetKind) (Gadget, bool) {
-	for _, g := range t.Scan() {
-		if g.Kind == kind {
-			return g, true
+// scanGadgets reports every gadget in b in image order, until visit returns
+// false. A ret yields the pivot ending there before the one-byte gadget, as
+// a forward byte walk would.
+func scanGadgets(b []byte, visit func(Gadget) bool) {
+	nextRet, nextHlt := indexFrom(b, 0, opRet), indexFrom(b, 0, opHalt)
+	for nextRet >= 0 || nextHlt >= 0 {
+		if nextHlt >= 0 && (nextRet < 0 || nextHlt < nextRet) {
+			if !visit(Gadget{Offset: uint64(nextHlt), Kind: GadgetHalt}) {
+				return
+			}
+			nextHlt = indexFrom(b, nextHlt+1, opHalt)
+			continue
 		}
+		// Look backward for a recognized sequence ending here.
+		i := nextRet
+		if i >= 4 && b[i-4] == opLeaPfx0 && b[i-3] == opLeaPfx1 && b[i-2] == opLeaPfx2 {
+			if !visit(Gadget{Offset: uint64(i - 4), Kind: GadgetPivot, Imm: b[i-1]}) {
+				return
+			}
+		}
+		if i >= 1 {
+			kind := GadgetKind(-1)
+			switch b[i-1] {
+			case opPopRDI:
+				kind = GadgetPopRDI
+			case opPopRAX:
+				kind = GadgetPopRAX
+			case opPopRSI:
+				kind = GadgetPopRSI
+			case opMovRDIRAX:
+				kind = GadgetMovRDIRAX
+			}
+			if kind >= 0 && !visit(Gadget{Offset: uint64(i - 1), Kind: kind}) {
+				return
+			}
+		}
+		nextRet = indexFrom(b, i+1, opRet)
 	}
-	return Gadget{}, false
+}
+
+// indexFrom is the index of the first c in b[i:], as an index into b, or -1.
+func indexFrom(b []byte, i int, c byte) int {
+	if j := bytes.IndexByte(b[i:], c); j >= 0 {
+		return i + j
+	}
+	return -1
+}
+
+// FindGadget returns the first gadget of the kind, as an image offset. The
+// first call indexes every kind in one pass over the gadget prefix.
+func (t *Text) FindGadget(kind GadgetKind) (Gadget, bool) {
+	if kind < 0 || int(kind) >= numGadgetKinds {
+		return Gadget{}, false
+	}
+	if !t.indexed {
+		t.buildIndex()
+	}
+	return t.first[kind], t.found[kind]
+}
+
+// buildIndex records the first gadget of each kind. The plants put one of
+// each inside the gadget prefix, so the pass never needs the rest of the
+// image, and it stops once every kind is found.
+func (t *Text) buildIndex() {
+	t.need(gadgetPrefix)
+	missing := numGadgetKinds
+	scanGadgets(t.bytes, func(g Gadget) bool {
+		if !t.found[g.Kind] {
+			t.first[g.Kind], t.found[g.Kind] = g, true
+			missing--
+		}
+		return missing > 0
+	})
+	t.indexed = true
 }

@@ -12,10 +12,13 @@
 //     compound regions into consecutive buffers and is the root cause of
 //     type (c) vulnerabilities (multiple IOVAs mapping the same page).
 //
-// All memory is a plain byte slice; kernel virtual addresses are interpreted
-// through a layout.Layout. CPU-side accesses flow through Memory.Read/Write
-// so that a sanitizer (D-KASAN) can observe them; device-side DMA accesses
-// use the physical Read/WritePhys path via the IOMMU bus.
+// Physical memory is kept in fixed 2 MiB sections allocated on first write;
+// an absent section reads as zero, so a 128 MiB machine whose attacks touch
+// a few hundred pages costs a few sections. Kernel virtual addresses are
+// interpreted through a layout.Layout. CPU-side accesses flow through
+// Memory.Read/Write so that a sanitizer (D-KASAN) can observe them;
+// device-side DMA accesses use the physical Read/WritePhys path via the
+// IOMMU bus.
 package mem
 
 import (
@@ -61,13 +64,25 @@ type AllocInjector interface {
 	InjectAllocFailure() bool
 }
 
+// sectionShift sizes the lazily allocated sections of physical memory
+// (2 MiB). Per-page sections cost one allocation per touched page and
+// measurably slow allocator-heavy soaks; 2 MiB keeps a typical attack at a
+// handful of sections.
+const (
+	sectionShift = 21
+	sectionSize  = 1 << sectionShift
+)
+
 // Memory is the simulated physical memory plus its allocators.
 type Memory struct {
 	layout *layout.Layout
-	data   []byte
-	pages  []PageInfo
-	tracer Tracer
-	inject AllocInjector
+	size   uint64
+	// sections holds physical memory in sectionSize pieces; a nil section
+	// has never been written and reads as zero.
+	sections [][]byte
+	pages    []PageInfo
+	tracer   Tracer
+	inject   AllocInjector
 
 	Pages *PageAllocator
 	Slab  *SlabAllocator
@@ -86,11 +101,12 @@ func New(cfg Config) (*Memory, error) {
 		cfg.CPUs = 1
 	}
 	m := &Memory{
-		layout: cfg.Layout,
-		data:   make([]byte, cfg.Layout.PhysBytes),
-		pages:  make([]PageInfo, cfg.Layout.PhysBytes/layout.PageSize),
-		tracer: cfg.Tracer,
-		inject: cfg.Inject,
+		layout:   cfg.Layout,
+		size:     cfg.Layout.PhysBytes,
+		sections: make([][]byte, (cfg.Layout.PhysBytes+sectionSize-1)/sectionSize),
+		pages:    make([]PageInfo, cfg.Layout.PhysBytes/layout.PageSize),
+		tracer:   cfg.Tracer,
+		inject:   cfg.Inject,
 	}
 	var err error
 	m.Pages, err = newPageAllocator(m, cfg.CPUs)
@@ -121,10 +137,66 @@ func (m *Memory) mustPage(p layout.PFN) *PageInfo { return &m.pages[p] }
 
 // checkPhys validates a physical range.
 func (m *Memory) checkPhys(pa, n uint64) error {
-	if pa >= uint64(len(m.data)) || n > uint64(len(m.data))-pa {
+	if pa >= m.size || n > m.size-pa {
 		return fmt.Errorf("mem: physical range [%#x,+%d) out of bounds", pa, n)
 	}
 	return nil
+}
+
+// section returns section i, allocating it on first use.
+func (m *Memory) section(i uint64) []byte {
+	s := m.sections[i]
+	if s == nil {
+		s = make([]byte, min(sectionSize, m.size-i<<sectionShift))
+		m.sections[i] = s
+	}
+	return s
+}
+
+// load copies the validated physical range starting at pa into buf.
+func (m *Memory) load(pa uint64, buf []byte) {
+	for len(buf) > 0 {
+		off := pa & (sectionSize - 1)
+		var n int
+		if s := m.sections[pa>>sectionShift]; s != nil {
+			n = copy(buf, s[off:])
+		} else {
+			n = int(min(uint64(len(buf)), sectionSize-off))
+			clear(buf[:n])
+		}
+		buf = buf[n:]
+		pa += uint64(n)
+	}
+}
+
+// store copies buf into the validated physical range starting at pa.
+func (m *Memory) store(pa uint64, buf []byte) {
+	for len(buf) > 0 {
+		n := copy(m.section(pa >> sectionShift)[pa&(sectionSize-1):], buf)
+		buf = buf[n:]
+		pa += uint64(n)
+	}
+}
+
+// fill sets the validated physical range [pa, pa+n) to v. Zeroing an absent
+// section is a no-op: it already reads as zero.
+func (m *Memory) fill(pa uint64, v byte, n uint64) {
+	for n > 0 {
+		i, off := pa>>sectionShift, pa&(sectionSize-1)
+		c := min(n, sectionSize-off)
+		if m.sections[i] != nil || v != 0 {
+			b := m.section(i)[off : off+c]
+			if v == 0 {
+				clear(b)
+			} else {
+				for j := range b {
+					b[j] = v
+				}
+			}
+		}
+		pa += c
+		n -= c
+	}
 }
 
 // ReadPhys copies simulated physical memory into buf. It is the device-side
@@ -133,7 +205,7 @@ func (m *Memory) ReadPhys(pa uint64, buf []byte) error {
 	if err := m.checkPhys(pa, uint64(len(buf))); err != nil {
 		return err
 	}
-	copy(buf, m.data[pa:])
+	m.load(pa, buf)
 	return nil
 }
 
@@ -142,7 +214,7 @@ func (m *Memory) WritePhys(pa uint64, buf []byte) error {
 	if err := m.checkPhys(pa, uint64(len(buf))); err != nil {
 		return err
 	}
-	copy(m.data[pa:], buf)
+	m.store(pa, buf)
 	return nil
 }
 
@@ -158,7 +230,7 @@ func (m *Memory) Read(a layout.Addr, buf []byte) error {
 	if m.tracer != nil {
 		m.tracer.OnCPUAccess(a, uint64(len(buf)), false)
 	}
-	copy(buf, m.data[pa:])
+	m.load(pa, buf)
 	return nil
 }
 
@@ -174,7 +246,7 @@ func (m *Memory) Write(a layout.Addr, buf []byte) error {
 	if m.tracer != nil {
 		m.tracer.OnCPUAccess(a, uint64(len(buf)), true)
 	}
-	copy(m.data[pa:], buf)
+	m.store(pa, buf)
 	return nil
 }
 
@@ -238,9 +310,7 @@ func (m *Memory) Memset(a layout.Addr, v byte, n uint64) error {
 	if m.tracer != nil {
 		m.tracer.OnCPUAccess(a, n, true)
 	}
-	for i := uint64(0); i < n; i++ {
-		m.data[pa+i] = v
-	}
+	m.fill(pa, v, n)
 	return nil
 }
 
