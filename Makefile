@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: check fmt build vet test race bench benchgate campaign faultsmoke fuzzsmoke cachesmoke soaksmoke fabricsmoke chaossmoke fleetsmoke
+.PHONY: check fmt build vet test race fuzzcheck bench benchgate campaign faultsmoke fuzzsmoke cachesmoke soaksmoke fabricsmoke chaossmoke fleetsmoke
 
-check: fmt vet build race faultsmoke fuzzsmoke cachesmoke soaksmoke fabricsmoke chaossmoke fleetsmoke
+check: fmt vet build race fuzzcheck faultsmoke fuzzsmoke cachesmoke soaksmoke fabricsmoke chaossmoke fleetsmoke
 
 # gofmt gate: fail listing any file that needs formatting.
 fmt:
@@ -25,6 +25,14 @@ test:
 # always exercise it (and the attack substrates under it) with -race.
 race:
 	$(GO) test -race -timeout 30m ./...
+
+# Bounded native fuzzing (~40s): each testing.F target runs for 10s on its
+# own package, starting from its committed seed corpus under testdata/fuzz.
+# A crasher is written to that testdata directory and fails the target.
+fuzzcheck:
+	$(GO) test -run '^$$' -fuzz '^FuzzRecordLog$$' -fuzztime 10s ./internal/recordlog
+	$(GO) test -run '^$$' -fuzz '^FuzzMemoryOps$$' -fuzztime 10s ./internal/mem
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/cminor
 
 # One pass over every benchmark, teed through cmd/benchjson into a
 # benchstat-comparable JSON artifact. -benchtime=3x keeps it minutes, not

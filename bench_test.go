@@ -74,7 +74,7 @@ func BenchmarkSec7_Mitigations(b *testing.B)        { runExperiment(b, "S7") }
 
 func newBenchSystem(b *testing.B, mode iommu.Mode) *core.System {
 	b.Helper()
-	sys, err := core.NewSystem(core.Config{Seed: 1, KASLR: true, Mode: mode})
+	sys, err := core.New(core.WithSeed(1), core.WithIOMMUMode(mode))
 	if err != nil {
 		b.Fatal(err)
 	}

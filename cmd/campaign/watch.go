@@ -31,9 +31,8 @@ func watchJob(w io.Writer, jobURL string) (string, error) {
 	})
 }
 
-// parseJobURL splits a job URL — /v1/campaigns/{id}, the legacy unversioned
-// form, or either with a trailing /events — into the service base and the
-// job ID.
+// parseJobURL splits a job URL — /v1/campaigns/{id}, optionally with a
+// trailing /events — into the service base and the job ID.
 func parseJobURL(jobURL string) (base string, id int, err error) {
 	u := strings.TrimRight(jobURL, "/")
 	u = strings.TrimSuffix(u, "/events")

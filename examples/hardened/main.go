@@ -16,7 +16,7 @@ import (
 )
 
 func boot(mode iommu.Mode, cet bool) (*core.System, *netstack.NIC) {
-	sys, err := core.NewSystem(core.Config{Seed: 99, KASLR: true, Mode: mode})
+	sys, err := core.New(core.WithSeed(99), core.WithIOMMUMode(mode))
 	if err != nil {
 		log.Fatal(err)
 	}

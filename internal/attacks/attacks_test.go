@@ -11,7 +11,11 @@ import (
 
 func bootVictim(t *testing.T, mode iommu.Mode, forwarding bool, model netstack.DriverModel) (*core.System, *netstack.NIC) {
 	t.Helper()
-	sys, err := core.NewSystem(core.Config{Seed: 1234, KASLR: true, Mode: mode, Forwarding: forwarding})
+	opts := []core.Option{core.WithSeed(1234), core.WithIOMMUMode(mode)}
+	if forwarding {
+		opts = append(opts, core.WithForwarding())
+	}
+	sys, err := core.New(opts...)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -93,7 +93,7 @@ func TestEngineMatchesSequentialAttacks(t *testing.T) {
 func TestScenarioErrorIsCapturedNotFatal(t *testing.T) {
 	set := []Scenario{
 		{Kind: KindWindowLadder, Seed: 1},
-		// Non-page-aligned memory: core.NewSystem rejects it at run time.
+		// Non-page-aligned memory: core.New rejects it at run time.
 		{Kind: KindPoisonedTX, Seed: 2, MemBytes: 4097},
 	}
 	sum, err := Engine{Workers: 2}.Run(set)

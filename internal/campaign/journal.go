@@ -1,26 +1,24 @@
 package campaign
 
 import (
-	"bufio"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"io"
-	"os"
-	"sync"
+	"io/fs"
+
+	"dmafault/internal/recordlog"
 )
 
-// Campaign journal: a JSONL file recording each completed scenario so a
-// killed campaign can resume without re-executing finished work. Line 1 is
-// a header binding the journal to its scenario set (a hash over the
-// normalized specs — resuming against a different set is an error); every
-// further line is one {index, result} record, appended atomically under a
-// mutex in whatever order workers finish. Because results are deterministic
-// per scenario, replay order never matters: LoadJournal keys records by
-// index, and a resumed run's summary is byte-identical to an uninterrupted
-// run's. A torn final line (the crash case) is tolerated on read and
-// truncated away on resume-for-append.
+// Campaign journal: a recordlog file recording each completed scenario so a
+// killed campaign can resume without re-executing finished work. The header
+// binds the journal to its scenario set (a hash over the normalized specs —
+// resuming against a different set is an error); every further line is one
+// {index, result} record, appended in whatever order workers finish.
+// Because results are deterministic per scenario, replay order never
+// matters: LoadJournal keys records by index, and a resumed run's summary is
+// byte-identical to an uninterrupted run's.
 
 // journalVersion gates the on-disk format.
 const journalVersion = 1
@@ -122,10 +120,55 @@ func ScenarioKey(s Scenario) string {
 	return ScenarioDigest(s).Short()
 }
 
-// Journal appends completed-scenario records to an open JSONL file.
+// Journal appends completed-scenario records to an open record log.
 type Journal struct {
-	mu sync.Mutex
-	f  *os.File
+	log *recordlog.Log
+}
+
+// journalReader decodes a journal: the header, validated by check, and the
+// {index, result} records, collected into restored keyed by index.
+type journalReader struct {
+	hdr      journalHeader
+	check    func(*journalHeader) error
+	restored map[int]*Result
+}
+
+func (r *journalReader) header(line []byte) error {
+	if err := json.Unmarshal(line, &r.hdr); err != nil {
+		return fmt.Errorf("bad header: %w", err)
+	}
+	if r.hdr.V != journalVersion {
+		return fmt.Errorf("version %d, want %d", r.hdr.V, journalVersion)
+	}
+	return r.check(&r.hdr)
+}
+
+// record accepts one intact record; a line without a result is corrupt and
+// ends the replay, while an out-of-range index is a real error.
+func (r *journalReader) record(line []byte) (bool, error) {
+	var rec journalRecord
+	if err := json.Unmarshal(line, &rec); err != nil || rec.Result == nil {
+		return false, nil
+	}
+	if rec.Index < 0 || rec.Index >= r.hdr.Scenarios {
+		return false, fmt.Errorf("record index %d out of range", rec.Index)
+	}
+	r.restored[rec.Index] = rec.Result
+	return true, nil
+}
+
+// setReader returns a reader that accepts only a journal written for the
+// scenario set of n scenarios whose scenarioSetHash is hash.
+func setReader(n int, hash string) *journalReader {
+	return &journalReader{restored: map[int]*Result{}, check: func(h *journalHeader) error {
+		if h.Scenarios != n {
+			return fmt.Errorf("%d scenarios, campaign has %d", h.Scenarios, n)
+		}
+		if h.Hash != hash {
+			return fmt.Errorf("scenario set hash %s, campaign is %s", h.Hash, hash)
+		}
+		return nil
+	}}
 }
 
 // OpenJournal creates (resume=false) or reopens (resume=true) the journal
@@ -134,158 +177,38 @@ type Journal struct {
 // final line, and positions for append. Resuming a path that does not exist
 // falls back to a fresh journal, so `--resume` on a first run just works.
 func OpenJournal(path string, scs []Scenario, resume bool) (*Journal, error) {
-	if resume {
-		if _, err := os.Stat(path); err == nil {
-			return reopenJournal(path, scs)
-		} else if !os.IsNotExist(err) {
-			return nil, fmt.Errorf("campaign: journal: %w", err)
-		}
-	}
-	f, err := os.Create(path)
+	hash := scenarioSetHash(scs)
+	r := setReader(len(scs), hash)
+	hdr := journalHeader{V: journalVersion, Scenarios: len(scs), Hash: hash, Set: normalizeSet(scs)}
+	log, err := recordlog.Open(path, resume, hdr, r.header, r.record)
 	if err != nil {
 		return nil, fmt.Errorf("campaign: journal: %w", err)
 	}
-	hdr, err := json.Marshal(journalHeader{V: journalVersion, Scenarios: len(scs),
-		Hash: scenarioSetHash(scs), Set: normalizeSet(scs)})
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("campaign: journal: %w", err)
-	}
-	if _, err := f.Write(append(hdr, '\n')); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("campaign: journal: %w", err)
-	}
-	return &Journal{f: f}, nil
+	return &Journal{log: log}, nil
 }
 
-// reopenJournal validates an existing journal and prepares it for append,
-// truncating a torn tail left by a crash.
-func reopenJournal(path string, scs []Scenario) (*Journal, error) {
-	_, good, err := readJournal(path, scs)
-	if err != nil {
-		return nil, err
-	}
-	f, err := os.OpenFile(path, os.O_WRONLY, 0)
-	if err != nil {
-		return nil, fmt.Errorf("campaign: journal: %w", err)
-	}
-	if err := f.Truncate(good); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("campaign: journal: %w", err)
-	}
-	if _, err := f.Seek(good, io.SeekStart); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("campaign: journal: %w", err)
-	}
-	return &Journal{f: f}, nil
-}
-
-// Record appends one completed scenario. Each record is marshalled to a
-// single line and written with one Write call under the journal mutex, so
-// concurrent workers never interleave bytes.
+// Record appends one completed scenario as a single line; concurrent workers
+// never interleave bytes.
 func (j *Journal) Record(index int, r *Result) error {
-	line, err := json.Marshal(journalRecord{Index: index, Result: r})
-	if err != nil {
-		return err
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	_, err = j.f.Write(append(line, '\n'))
-	return err
+	return j.log.Append(journalRecord{Index: index, Result: r})
 }
 
-// Close flushes and closes the underlying file.
-func (j *Journal) Close() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.f.Close()
-}
+// Close closes the underlying file.
+func (j *Journal) Close() error { return j.log.Close() }
 
 // LoadJournal reads the completed-scenario records of a previous run,
 // validated against the scenario set, keyed by index — the value for
 // Engine.Completed. A missing file yields an empty map (nothing restored);
 // a torn final line is ignored.
 func LoadJournal(path string, scs []Scenario) (map[int]*Result, error) {
-	if _, err := os.Stat(path); os.IsNotExist(err) {
-		return map[int]*Result{}, nil
-	}
-	restored, _, err := readJournal(path, scs)
-	return restored, err
-}
-
-// readJournal parses the journal, returning the restored results and the
-// byte offset just past the last intact line. Parsing stops (without error)
-// at the first torn or unparseable line — the expected shape of a crash
-// mid-append; header mismatches and out-of-range indexes are real errors.
-func readJournal(path string, scs []Scenario) (map[int]*Result, int64, error) {
-	hdr, br, f, err := openJournalHeader(path)
-	if err != nil {
-		return nil, 0, err
-	}
-	defer f.Close()
-	if hdr.Scenarios != len(scs) {
-		return nil, 0, fmt.Errorf("campaign: journal %s: %d scenarios, campaign has %d", path, hdr.Scenarios, len(scs))
-	}
-	if want := scenarioSetHash(scs); hdr.Hash != want {
-		return nil, 0, fmt.Errorf("campaign: journal %s: scenario set hash %s, campaign is %s", path, hdr.Hash, want)
-	}
-	return readRecords(path, br, hdr.offset, len(scs))
-}
-
-// openJournalHeader opens the file and parses+validates the version header.
-// On success the caller owns closing f; br is positioned at the first record
-// and hdr.offset is the header's byte length.
-func openJournalHeader(path string) (*journalHeaderAt, *bufio.Reader, *os.File, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("campaign: journal: %w", err)
-	}
-	br := bufio.NewReaderSize(f, 1<<20)
-	line, err := br.ReadBytes('\n')
-	if err != nil {
-		f.Close()
-		return nil, nil, nil, fmt.Errorf("campaign: journal %s: missing header", path)
-	}
-	var hdr journalHeader
-	if err := json.Unmarshal(line, &hdr); err != nil {
-		f.Close()
-		return nil, nil, nil, fmt.Errorf("campaign: journal %s: bad header: %w", path, err)
-	}
-	if hdr.V != journalVersion {
-		f.Close()
-		return nil, nil, nil, fmt.Errorf("campaign: journal %s: version %d, want %d", path, hdr.V, journalVersion)
-	}
-	return &journalHeaderAt{journalHeader: hdr, offset: int64(len(line))}, br, f, nil
-}
-
-type journalHeaderAt struct {
-	journalHeader
-	offset int64
-}
-
-// readRecords consumes {index,result} lines until EOF or the first torn
-// line, returning the restored map and the offset just past the last intact
-// line.
-func readRecords(path string, br *bufio.Reader, offset int64, n int) (map[int]*Result, int64, error) {
-	restored := map[int]*Result{}
-	for {
-		line, err := br.ReadBytes('\n')
-		if err != nil {
-			// EOF without newline: a torn tail from a crash — drop it.
-			break
+	r := setReader(len(scs), scenarioSetHash(scs))
+	if _, err := recordlog.Replay(path, r.header, r.record); err != nil {
+		if errors.Is(err, fs.ErrNotExist) {
+			return map[int]*Result{}, nil
 		}
-		var rec journalRecord
-		if err := json.Unmarshal(line, &rec); err != nil || rec.Result == nil {
-			// Corrupt line: treat it and everything after as torn.
-			break
-		}
-		if rec.Index < 0 || rec.Index >= n {
-			return nil, 0, fmt.Errorf("campaign: journal %s: record index %d out of range", path, rec.Index)
-		}
-		restored[rec.Index] = rec.Result
-		offset += int64(len(line))
+		return nil, fmt.Errorf("campaign: journal: %w", err)
 	}
-	return restored, offset, nil
+	return r.restored, nil
 }
 
 // JournalState is what ScanJournal recovers from a journal file without any
@@ -308,23 +231,20 @@ func (st *JournalState) Unfinished() bool { return len(st.Restored) < len(st.Sce
 // cannot silently resume); journals written before sets were embedded return
 // an error and are left for out-of-band resume via LoadJournal.
 func ScanJournal(path string) (*JournalState, error) {
-	hdr, br, f, err := openJournalHeader(path)
-	if err != nil {
-		return nil, err
+	r := &journalReader{restored: map[int]*Result{}, check: func(h *journalHeader) error {
+		if len(h.Set) == 0 {
+			return errors.New("no embedded scenario set (written by an older version?)")
+		}
+		if len(h.Set) != h.Scenarios {
+			return fmt.Errorf("embedded set has %d scenarios, header says %d", len(h.Set), h.Scenarios)
+		}
+		if got := scenarioSetHash(h.Set); got != h.Hash {
+			return fmt.Errorf("embedded set hash %s, header says %s", got, h.Hash)
+		}
+		return nil
+	}}
+	if _, err := recordlog.Replay(path, r.header, r.record); err != nil {
+		return nil, fmt.Errorf("campaign: journal: %w", err)
 	}
-	defer f.Close()
-	if len(hdr.Set) == 0 {
-		return nil, fmt.Errorf("campaign: journal %s: no embedded scenario set (written by an older version?)", path)
-	}
-	if len(hdr.Set) != hdr.Scenarios {
-		return nil, fmt.Errorf("campaign: journal %s: embedded set has %d scenarios, header says %d", path, len(hdr.Set), hdr.Scenarios)
-	}
-	if got := scenarioSetHash(hdr.Set); got != hdr.Hash {
-		return nil, fmt.Errorf("campaign: journal %s: embedded set hash %s, header says %s", path, got, hdr.Hash)
-	}
-	restored, _, err := readRecords(path, br, hdr.offset, hdr.Scenarios)
-	if err != nil {
-		return nil, err
-	}
-	return &JournalState{Path: path, Scenarios: hdr.Set, Restored: restored}, nil
+	return &JournalState{Path: path, Scenarios: r.hdr.Set, Restored: r.restored}, nil
 }

@@ -10,10 +10,10 @@ import (
 	"dmafault/internal/netstack"
 )
 
-// ExampleNewSystem boots a machine and demonstrates the sub-page
+// ExampleNew boots a machine and demonstrates the sub-page
 // vulnerability: mapping 64 bytes exposes the whole page.
-func ExampleNewSystem() {
-	sys, err := core.NewSystem(core.Config{Seed: 1, KASLR: true, Mode: iommu.Strict})
+func ExampleNew() {
+	sys, err := core.New(core.WithSeed(1), core.WithIOMMUMode(iommu.Strict))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func ExampleNewSystem() {
 // ExampleSystem_AddNIC shows the deferred-invalidation window of Fig. 6:
 // after dma_unmap the device still reaches the buffer.
 func ExampleSystem_AddNIC() {
-	sys, err := core.NewSystem(core.Config{Seed: 2, KASLR: true, Mode: iommu.Deferred})
+	sys, err := core.New(core.WithSeed(2), core.WithIOMMUMode(iommu.Deferred))
 	if err != nil {
 		log.Fatal(err)
 	}

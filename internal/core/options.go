@@ -12,8 +12,8 @@ import (
 // forwarding, and the metrics registry attached.
 type Option func(*settings)
 
-// settings is the resolved boot configuration: the legacy Config plus the
-// knobs that only exist on the options surface.
+// settings is the resolved boot configuration: Config plus the knobs that
+// only affect what New attaches after the boot.
 type settings struct {
 	cfg       Config
 	tracing   bool

@@ -56,23 +56,6 @@ func TestNewDefaultsAndOptions(t *testing.T) {
 	}
 }
 
-func TestNewSystemShimMatchesNew(t *testing.T) {
-	old, err := NewSystem(Config{Seed: 9, KASLR: true, Mode: iommu.Strict, CPUs: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	neu, err := New(WithSeed(9), WithIOMMUMode(iommu.Strict), WithCPUs(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if old.Layout.TextBase != neu.Layout.TextBase {
-		t.Error("shim and options boot different machines for equal knobs")
-	}
-	if old.Metrics == nil {
-		t.Error("NewSystem shim must still attach metrics")
-	}
-}
-
 func TestWithoutMetrics(t *testing.T) {
 	s, err := New(WithSeed(1), WithoutMetrics())
 	if err != nil {

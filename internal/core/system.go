@@ -29,9 +29,8 @@ import (
 	"dmafault/internal/trace"
 )
 
-// Config describes one simulated machine boot. It is the legacy positional
-// surface consumed by NewSystem and the carrier the options of New resolve
-// into; new call sites should prefer New.
+// Config describes one simulated machine boot: the carrier the options of
+// New resolve into. Machines are booted with New and Options only.
 type Config struct {
 	// Seed drives every randomized component (KASLR draw, text image,
 	// boot-order jitter). Equal seeds boot identical machines.
@@ -104,20 +103,6 @@ func New(opts ...Option) (*System, error) {
 	if st.tracing {
 		s.EnableTracing(st.traceCap)
 	}
-	return s, nil
-}
-
-// NewSystem boots a machine from the legacy positional Config.
-//
-// Deprecated: use New with Options. NewSystem remains as a shim so call
-// sites can migrate incrementally; unlike New it keeps Config's zero-value
-// semantics (KASLR off unless set).
-func NewSystem(cfg Config) (*System, error) {
-	s, err := boot(cfg)
-	if err != nil {
-		return nil, err
-	}
-	s.initMetrics()
 	return s, nil
 }
 

@@ -113,7 +113,7 @@ type Stats struct {
 	AllocAfterMap, MapAfterAlloc, AccessAfterMap, MultipleMap uint64
 }
 
-// New creates a sanitizer; attach it via core.Config.Tracer AND Attach().
+// New creates a sanitizer; attach it via core.WithTracer AND Attach().
 func New() *Sanitizer {
 	return &Sanitizer{
 		pages:   make(map[layout.PFN]*pageState),

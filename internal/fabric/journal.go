@@ -1,20 +1,18 @@
 package fabric
 
 import (
-	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"io"
-	"os"
-	"sync"
+	"io/fs"
 
 	"dmafault/internal/campaign"
+	"dmafault/internal/recordlog"
 )
 
-// Coordinator state log: a JSONL file recording everything the coordinator
-// must not forget across a kill — lease grants, expiries, re-leases, and
-// every delivered result — in the same torn-tail-tolerant idiom as the
-// campaign journal and the result store's log. Line 1 binds the log to its
+// Coordinator state log: a recordlog file recording everything the
+// coordinator must not forget across a kill — lease grants, expiries,
+// re-leases, and every delivered result. The header binds the log to its
 // campaign (scenario-set hash + shard size); every further line is exactly
 // one event. A resumed coordinator replays the log to pre-fill delivered
 // results (those scenarios never re-execute) and to restore the journaled
@@ -51,12 +49,10 @@ type stateRecord struct {
 	Result   *campaign.Result `json:"result,omitempty"`
 }
 
-// StateLog appends coordinator events to an open JSONL file. Each record is
-// marshalled to a single line and written with one Write under the mutex,
-// so concurrent shard goroutines never interleave bytes.
+// StateLog appends coordinator events to an open record log. A nil
+// StateLog discards them.
 type StateLog struct {
-	mu sync.Mutex
-	f  *os.File
+	log *recordlog.Log
 }
 
 // JournalState is what a resumed coordinator recovers from its state log:
@@ -77,104 +73,46 @@ type JournalState struct {
 // returns the recovered state. Resuming a path that does not exist falls
 // back to a fresh log, so -resume on a first run just works.
 func OpenStateLog(path string, scs []campaign.Scenario, shardSize int, resume bool) (*StateLog, *JournalState, error) {
-	if resume {
-		if _, err := os.Stat(path); err == nil {
-			return reopenStateLog(path, scs, shardSize)
-		} else if !os.IsNotExist(err) {
-			return nil, nil, fmt.Errorf("fabric: state log: %w", err)
-		}
-	}
-	f, err := os.Create(path)
+	hdr, st, header, record := stateReader(scs, shardSize)
+	log, err := recordlog.Open(path, resume, hdr, header, record)
 	if err != nil {
 		return nil, nil, fmt.Errorf("fabric: state log: %w", err)
 	}
-	hdr, err := json.Marshal(stateHeader{V: stateVersion, Scenarios: len(scs),
-		Hash: campaign.SetHash(scs), ShardSize: shardSize})
-	if err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("fabric: state log: %w", err)
-	}
-	if _, err := f.Write(append(hdr, '\n')); err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("fabric: state log: %w", err)
-	}
-	return &StateLog{f: f}, &JournalState{Restored: map[int]*campaign.Result{}}, nil
-}
-
-// reopenStateLog validates an existing log, truncates a torn tail, and
-// positions for append.
-func reopenStateLog(path string, scs []campaign.Scenario, shardSize int) (*StateLog, *JournalState, error) {
-	st, good, err := readStateLog(path, scs, shardSize)
-	if err != nil {
-		return nil, nil, err
-	}
-	f, err := os.OpenFile(path, os.O_WRONLY, 0)
-	if err != nil {
-		return nil, nil, fmt.Errorf("fabric: state log: %w", err)
-	}
-	if err := f.Truncate(good); err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("fabric: state log: %w", err)
-	}
-	if _, err := f.Seek(good, io.SeekStart); err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("fabric: state log: %w", err)
-	}
-	return &StateLog{f: f}, st, nil
+	return &StateLog{log: log}, st, nil
 }
 
 // ReadStateLog recovers the state of a log without opening it for append —
 // what the fabric soak greps for a "released" record, and what tests
 // inspect. A missing file yields empty state.
 func ReadStateLog(path string, scs []campaign.Scenario, shardSize int) (*JournalState, error) {
-	if _, err := os.Stat(path); os.IsNotExist(err) {
-		return &JournalState{Restored: map[int]*campaign.Result{}}, nil
+	_, st, header, record := stateReader(scs, shardSize)
+	if _, err := recordlog.Replay(path, header, record); err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return nil, fmt.Errorf("fabric: state log: %w", err)
 	}
-	st, _, err := readStateLog(path, scs, shardSize)
-	return st, err
+	return st, nil
 }
 
-// readStateLog parses the log, returning the recovered state and the byte
-// offset just past the last intact line. Parsing stops (without error) at
-// the first torn or unparseable line — the expected shape of a kill
-// mid-append; header mismatches and out-of-range indexes are real errors.
-func readStateLog(path string, scs []campaign.Scenario, shardSize int) (*JournalState, int64, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, 0, fmt.Errorf("fabric: state log: %w", err)
-	}
-	defer f.Close()
-	br := bufio.NewReaderSize(f, 1<<20)
-	line, err := br.ReadBytes('\n')
-	if err != nil {
-		return nil, 0, fmt.Errorf("fabric: state log %s: missing header", path)
-	}
-	var hdr stateHeader
-	if err := json.Unmarshal(line, &hdr); err != nil {
-		return nil, 0, fmt.Errorf("fabric: state log %s: bad header: %w", path, err)
-	}
-	if hdr.V != stateVersion {
-		return nil, 0, fmt.Errorf("fabric: state log %s: version %d, want %d", path, hdr.V, stateVersion)
-	}
-	if hdr.Scenarios != len(scs) {
-		return nil, 0, fmt.Errorf("fabric: state log %s: %d scenarios, campaign has %d", path, hdr.Scenarios, len(scs))
-	}
-	if want := campaign.SetHash(scs); hdr.Hash != want {
-		return nil, 0, fmt.Errorf("fabric: state log %s: scenario set hash %s, campaign is %s", path, hdr.Hash, want)
-	}
-	if hdr.ShardSize != shardSize {
-		return nil, 0, fmt.Errorf("fabric: state log %s: shard size %d, coordinator uses %d", path, hdr.ShardSize, shardSize)
-	}
+// stateReader returns the header a log for this set and shard size carries,
+// the state its replay fills, and the recordlog decoders that fill it.
+func stateReader(scs []campaign.Scenario, shardSize int) (stateHeader, *JournalState, func([]byte) error, func([]byte) (bool, error)) {
+	want := stateHeader{V: stateVersion, Scenarios: len(scs), Hash: campaign.SetHash(scs), ShardSize: shardSize}
 	st := &JournalState{Restored: map[int]*campaign.Result{}}
-	offset := int64(len(line))
-	for {
-		line, err := br.ReadBytes('\n')
-		if err != nil {
-			break // torn tail from a kill — drop it
+	header := func(line []byte) error {
+		// Version, set hash and shard size must all match: shard boundaries
+		// must not move under recorded lease events.
+		var hdr stateHeader
+		if err := json.Unmarshal(line, &hdr); err != nil {
+			return fmt.Errorf("bad header: %w", err)
 		}
+		if hdr != want {
+			return fmt.Errorf("header %+v, coordinator expects %+v", hdr, want)
+		}
+		return nil
+	}
+	record := func(line []byte) (bool, error) {
 		var rec stateRecord
 		if err := json.Unmarshal(line, &rec); err != nil {
-			break // corrupt line: treat it and everything after as torn
+			return false, nil
 		}
 		switch {
 		case rec.Lease != nil:
@@ -185,32 +123,17 @@ func readStateLog(path string, scs []campaign.Scenario, shardSize int) (*Journal
 			st.Released++
 		case rec.Result != nil:
 			if rec.Index < 0 || rec.Index >= len(scs) {
-				return nil, 0, fmt.Errorf("fabric: state log %s: result index %d out of range", path, rec.Index)
+				return false, fmt.Errorf("result index %d out of range", rec.Index)
 			}
 			st.Restored[rec.Index] = rec.Result
 		default:
 			// A record with no recognized field is from a future version or
 			// corruption; either way everything after is untrustworthy.
-			return st, offset, nil
+			return false, nil
 		}
-		offset += int64(len(line))
+		return true, nil
 	}
-	return st, offset, nil
-}
-
-// append marshals one record to a single line under the mutex.
-func (l *StateLog) append(rec stateRecord) error {
-	if l == nil {
-		return nil
-	}
-	line, err := json.Marshal(rec)
-	if err != nil {
-		return err
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	_, err = l.f.Write(append(line, '\n'))
-	return err
+	return want, st, header, record
 }
 
 // Lease records a shard lease grant.
@@ -228,12 +151,18 @@ func (l *StateLog) Result(index int, r *campaign.Result) error {
 	return l.append(stateRecord{Index: index, Result: r})
 }
 
-// Close flushes and closes the underlying file. Nil-safe.
+// append writes one record line. Nil-safe.
+func (l *StateLog) append(rec stateRecord) error {
+	if l == nil {
+		return nil
+	}
+	return l.log.Append(rec)
+}
+
+// Close closes the underlying file. Nil-safe.
 func (l *StateLog) Close() error {
 	if l == nil {
 		return nil
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.f.Close()
+	return l.log.Close()
 }

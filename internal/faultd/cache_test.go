@@ -12,10 +12,9 @@ import (
 	"dmafault/internal/resultstore"
 )
 
-// Legacy unversioned routes keep answering but announce their successor:
-// Deprecation plus a machine-readable Link header. The /v1 routes carry
-// neither.
-func TestLegacyRoutesDeprecated(t *testing.T) {
+// The job routes exist only under /v1: the unversioned /campaigns path is
+// gone, and /v1 carries no deprecation headers.
+func TestLegacyRoutesRemoved(t *testing.T) {
 	srv := NewServer()
 	srv.Synchronous = true
 	ts := httptest.NewServer(srv.Handler())
@@ -26,11 +25,8 @@ func TestLegacyRoutesDeprecated(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if resp.Header.Get("Deprecation") != "true" {
-		t.Error("legacy route missing Deprecation header")
-	}
-	if link := resp.Header.Get("Link"); link != `</v1/campaigns>; rel="successor-version"` {
-		t.Errorf("legacy Link header = %q", link)
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("GET /campaigns: %d, want 404", resp.StatusCode)
 	}
 
 	resp, err = http.Get(ts.URL + "/v1/campaigns")

@@ -56,7 +56,7 @@ func TestServiceEndToEnd(t *testing.T) {
 	}
 
 	// Submit a small preset campaign.
-	code, body := post(t, ts.URL+"/campaigns", `{"name":"smoke","preset":"ladder","n":4,"seed":2021}`)
+	code, body := post(t, ts.URL+"/v1/campaigns", `{"name":"smoke","preset":"ladder","n":4,"seed":2021}`)
 	if code != http.StatusAccepted {
 		t.Fatalf("submit: %d %s", code, body)
 	}
@@ -76,7 +76,7 @@ func TestServiceEndToEnd(t *testing.T) {
 	var job Job
 	deadline := time.Now().Add(60 * time.Second)
 	for {
-		_, body := get(t, ts.URL+"/campaigns/1")
+		_, body := get(t, ts.URL+"/v1/campaigns/1")
 		if err := json.Unmarshal(body, &job); err != nil {
 			t.Fatal(err)
 		}
@@ -118,7 +118,7 @@ func TestServiceEndToEnd(t *testing.T) {
 	}
 
 	// Job listing stays lightweight (no inline summaries).
-	_, body = get(t, ts.URL+"/campaigns")
+	_, body = get(t, ts.URL+"/v1/campaigns")
 	var list struct {
 		Jobs []Job `json:"jobs"`
 	}
@@ -137,12 +137,12 @@ func TestSubmitExplicitScenarios(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	code, _ := post(t, ts.URL+"/campaigns",
+	code, _ := post(t, ts.URL+"/v1/campaigns",
 		`{"scenarios":[{"kind":"window-ladder","seed":7,"driver":"correct","mode":"strict"}]}`)
 	if code != http.StatusAccepted {
 		t.Fatalf("submit: %d", code)
 	}
-	_, body := get(t, ts.URL+"/campaigns/1")
+	_, body := get(t, ts.URL+"/v1/campaigns/1")
 	var job Job
 	if err := json.Unmarshal(body, &job); err != nil {
 		t.Fatal(err)
@@ -168,26 +168,26 @@ func TestSubmitRejectsBadRequests(t *testing.T) {
 		fmt.Sprintf(`{"preset":"ladder","n":%d}`, MaxScenarios+1),
 		`not json`,
 	} {
-		if code, _ := post(t, ts.URL+"/campaigns", bad); code != http.StatusBadRequest {
+		if code, _ := post(t, ts.URL+"/v1/campaigns", bad); code != http.StatusBadRequest {
 			t.Errorf("body %q: code %d, want 400", bad, code)
 		}
 	}
 	// Unknown job and non-numeric id.
-	if code, _ := get(t, ts.URL+"/campaigns/99"); code != http.StatusNotFound {
+	if code, _ := get(t, ts.URL+"/v1/campaigns/99"); code != http.StatusNotFound {
 		t.Errorf("missing job: %d, want 404", code)
 	}
-	if code, _ := get(t, ts.URL+"/campaigns/xyz"); code != http.StatusBadRequest {
+	if code, _ := get(t, ts.URL+"/v1/campaigns/xyz"); code != http.StatusBadRequest {
 		t.Errorf("bad id: %d, want 400", code)
 	}
 	// Method routing: GET on the collection works, DELETE does not.
-	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/campaigns", nil)
+	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/campaigns", nil)
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("DELETE /campaigns: %d, want 405", resp.StatusCode)
+		t.Errorf("DELETE /v1/campaigns: %d, want 405", resp.StatusCode)
 	}
 	srv.Wait()
 }
@@ -205,7 +205,7 @@ func TestMetricsAccumulateAcrossJobs(t *testing.T) {
 	// modes), so each job runs 4 scenarios.
 	body := `{"preset":"ladder","n":4,"seed":5}`
 	for i := 0; i < 2; i++ {
-		if code, resp := post(t, ts.URL+"/campaigns", body); code != http.StatusAccepted {
+		if code, resp := post(t, ts.URL+"/v1/campaigns", body); code != http.StatusAccepted {
 			t.Fatalf("submit %d: %d %s", i, code, resp)
 		}
 	}

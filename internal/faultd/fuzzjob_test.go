@@ -26,7 +26,7 @@ func TestFuzzJobEndToEnd(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	code, body := post(t, ts.URL+"/campaigns",
+	code, body := post(t, ts.URL+"/v1/campaigns",
 		`{"name":"fuzz-smoke","seed":11,"fuzz":{"attempts":8,"minimize":-1}}`)
 	if code != http.StatusAccepted {
 		t.Fatalf("submit: %d %s", code, body)
@@ -44,7 +44,7 @@ func TestFuzzJobEndToEnd(t *testing.T) {
 	srv.Wait()
 
 	var job Job
-	_, body = get(t, ts.URL+"/campaigns/1")
+	_, body = get(t, ts.URL+"/v1/campaigns/1")
 	if err := json.Unmarshal(body, &job); err != nil {
 		t.Fatal(err)
 	}
@@ -95,12 +95,12 @@ func TestFuzzJobEventStream(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	code, body := post(t, ts.URL+"/campaigns",
+	code, body := post(t, ts.URL+"/v1/campaigns",
 		`{"name":"fuzz-sse","seed":11,"fuzz":{"attempts":8,"batch":4,"minimize":-1}}`)
 	if code != http.StatusAccepted {
 		t.Fatalf("submit: %d %s", code, body)
 	}
-	resp, err := http.Get(ts.URL + "/campaigns/1/events")
+	resp, err := http.Get(ts.URL + "/v1/campaigns/1/events")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,10 +155,10 @@ func TestFuzzRequestValidation(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	if code, _ := post(t, ts.URL+"/campaigns", `{"fuzz":{"attempts":8},"preset":"mixed"}`); code != http.StatusBadRequest {
+	if code, _ := post(t, ts.URL+"/v1/campaigns", `{"fuzz":{"attempts":8},"preset":"mixed"}`); code != http.StatusBadRequest {
 		t.Errorf("fuzz+preset: %d, want 400", code)
 	}
-	if code, _ := post(t, ts.URL+"/campaigns", `{"fuzz":{"attempts":999999}}`); code != http.StatusBadRequest {
+	if code, _ := post(t, ts.URL+"/v1/campaigns", `{"fuzz":{"attempts":999999}}`); code != http.StatusBadRequest {
 		t.Errorf("over-cap attempts: %d, want 400", code)
 	}
 	srv.Wait()

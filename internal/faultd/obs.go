@@ -16,7 +16,7 @@ import (
 
 // Observability plane of the service: per-job wall-clock spans summarized
 // into the obs_span_duration_seconds family, live event streaming over SSE
-// (GET /campaigns/{id}/events), and flight-recorder dumps shipped to the
+// (GET /v1/campaigns/{id}/events), and flight-recorder dumps shipped to the
 // journal directory on stall, panic, quarantine trip, and shutdown. All of
 // it is operator data — none of it touches job summaries, journals, or the
 // merged campaign metric plane.

@@ -33,7 +33,7 @@ func quarantineServer(threshold, probeAfter int) (*Server, *httptest.Server) {
 // synchronous, so the job is terminal by the time the response arrives).
 func submitAndFetch(t *testing.T, ts *httptest.Server, body string) Job {
 	t.Helper()
-	code, resp := post(t, ts.URL+"/campaigns", body)
+	code, resp := post(t, ts.URL+"/v1/campaigns", body)
 	if code != http.StatusAccepted {
 		t.Fatalf("submit: %d %s", code, resp)
 	}
@@ -43,7 +43,7 @@ func submitAndFetch(t *testing.T, ts *httptest.Server, body string) Job {
 	if err := json.Unmarshal(resp, &acc); err != nil {
 		t.Fatal(err)
 	}
-	_, jb := get(t, ts.URL+"/campaigns/"+strconv.Itoa(acc.ID))
+	_, jb := get(t, ts.URL+"/v1/campaigns/"+strconv.Itoa(acc.ID))
 	var job Job
 	if err := json.Unmarshal(jb, &job); err != nil {
 		t.Fatal(err)

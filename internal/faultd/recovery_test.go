@@ -91,7 +91,7 @@ func TestRecoveryResumesByteIdentical(t *testing.T) {
 
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
-	_, body := get(t, ts.URL+"/campaigns/3")
+	_, body := get(t, ts.URL+"/v1/campaigns/3")
 	var job Job
 	if err := json.Unmarshal(body, &job); err != nil {
 		t.Fatal(err)
@@ -122,7 +122,7 @@ func TestRecoveryResumesByteIdentical(t *testing.T) {
 	}
 
 	// The ID counter was seeded past the journal: the next submission is 4.
-	code, resp := post(t, ts.URL+"/campaigns",
+	code, resp := post(t, ts.URL+"/v1/campaigns",
 		submitBody(t, Request{Scenarios: recoverySet()[:1]}))
 	if code != http.StatusAccepted {
 		t.Fatalf("post-recovery submit: %d %s", code, resp)
@@ -163,10 +163,10 @@ func TestRecoverySeedsIDCounterFromFinishedJournals(t *testing.T) {
 	}
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
-	if code, _ := get(t, ts.URL+"/campaigns/17"); code != http.StatusNotFound {
+	if code, _ := get(t, ts.URL+"/v1/campaigns/17"); code != http.StatusNotFound {
 		t.Error("finished journal was registered as a job")
 	}
-	_, resp := post(t, ts.URL+"/campaigns", submitBody(t, Request{Scenarios: set}))
+	_, resp := post(t, ts.URL+"/v1/campaigns", submitBody(t, Request{Scenarios: set}))
 	var acc struct {
 		ID int `json:"id"`
 	}

@@ -1,28 +1,24 @@
 package fuzz
 
 import (
-	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand"
-	"os"
 
 	"dmafault/internal/campaign"
+	"dmafault/internal/recordlog"
 )
 
-// Corpus persistence follows the campaign journal's idiom: a JSONL file
-// whose first line is a version header and whose remaining lines are
-// append-only records, written one line per Write call so concurrent
-// readers never see interleaved bytes. Three record shapes exist:
+// Corpus persistence is a recordlog file: a version header binding the file
+// to ScenarioKeyVersion (a corpus written under a different engine version
+// does not resume), then one record per line in three shapes:
 //
 //	{"add": <entry>}                     a scenario that produced a novel signature
 //	{"stat": {"key","execs","yield"}}    absolute scheduling counters for one entry
 //	{"min": {"key","scenario"}}          a minimized spec replacing an entry's scenario
 //
-// Replaying the records in order reconstructs the corpus exactly; a torn or
-// unparseable tail (the crash case) is dropped silently, matching the
-// journal's semantics. The header binds the file to ScenarioKeyVersion —
-// a corpus written under a different engine version does not resume.
+// Replaying the records in order reconstructs the corpus exactly.
 
 // corpusVersion gates the on-disk format.
 const corpusVersion = 1
@@ -80,13 +76,14 @@ type corpusMin struct {
 	Scenario campaign.Scenario `json:"scenario"`
 }
 
-// Corpus is the in-memory corpus, optionally backed by an append-only file.
-// It is single-writer: the fuzz loop mutates it only between engine batches.
+// Corpus is the in-memory corpus, optionally backed by a record log (nil for
+// a memory-only corpus, whose appends are no-ops). It is single-writer: the
+// fuzz loop mutates it only between engine batches.
 type Corpus struct {
 	entries []*Entry
 	byKey   map[string]*Entry
 	sigs    map[string]bool
-	f       *os.File
+	log     *recordlog.Log
 }
 
 // NewCorpus builds an empty, memory-only corpus.
@@ -100,92 +97,56 @@ func NewCorpus() *Corpus {
 // ScenarioKeyVersion is an error (its dedup keys no longer mean anything).
 func OpenCorpus(path string, resume bool) (*Corpus, error) {
 	c := NewCorpus()
-	if resume {
-		if _, err := os.Stat(path); err == nil {
-			if err := c.load(path); err != nil {
-				return nil, err
-			}
-			f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
-			if err != nil {
-				return nil, fmt.Errorf("fuzz: corpus: %w", err)
-			}
-			c.f = f
-			return c, nil
-		} else if !os.IsNotExist(err) {
-			return nil, fmt.Errorf("fuzz: corpus: %w", err)
-		}
-	}
-	f, err := os.Create(path)
+	hdr := corpusHeader{V: corpusVersion, Kind: "fuzz-corpus", KeyVersion: campaign.ScenarioKeyVersion}
+	log, err := recordlog.Open(path, resume, hdr, checkCorpusHeader, c.replay)
 	if err != nil {
 		return nil, fmt.Errorf("fuzz: corpus: %w", err)
 	}
-	hdr, err := json.Marshal(corpusHeader{V: corpusVersion, Kind: "fuzz-corpus",
-		KeyVersion: campaign.ScenarioKeyVersion})
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("fuzz: corpus: %w", err)
-	}
-	if _, err := f.Write(append(hdr, '\n')); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("fuzz: corpus: %w", err)
-	}
-	c.f = f
+	c.log = log
 	return c, nil
 }
 
-// load replays a corpus file into memory, stopping silently at the first
-// torn or unparseable record line.
-func (c *Corpus) load(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return fmt.Errorf("fuzz: corpus: %w", err)
-	}
-	defer f.Close()
-	br := bufio.NewReaderSize(f, 1<<20)
-	line, err := br.ReadBytes('\n')
-	if err != nil {
-		return fmt.Errorf("fuzz: corpus %s: missing header", path)
-	}
+// checkCorpusHeader accepts only a corpus written under this engine version.
+func checkCorpusHeader(line []byte) error {
 	var hdr corpusHeader
 	if err := json.Unmarshal(line, &hdr); err != nil || hdr.Kind != "fuzz-corpus" {
-		return fmt.Errorf("fuzz: corpus %s: bad header", path)
+		return errors.New("bad header")
 	}
 	if hdr.V != corpusVersion {
-		return fmt.Errorf("fuzz: corpus %s: version %d, want %d", path, hdr.V, corpusVersion)
+		return fmt.Errorf("version %d, want %d", hdr.V, corpusVersion)
 	}
 	if hdr.KeyVersion != campaign.ScenarioKeyVersion {
-		return fmt.Errorf("fuzz: corpus %s: written under engine %q, this engine is %q",
-			path, hdr.KeyVersion, campaign.ScenarioKeyVersion)
-	}
-	for {
-		line, err := br.ReadBytes('\n')
-		if err != nil {
-			break // torn tail: drop, like the journal
-		}
-		var rec corpusRecord
-		if err := json.Unmarshal(line, &rec); err != nil {
-			break // corrupt line: treat it and everything after as torn
-		}
-		switch {
-		case rec.Add != nil:
-			e := *rec.Add
-			e.dirty = false
-			c.insert(&e)
-		case rec.Stat != nil:
-			if e := c.byKey[rec.Stat.Key]; e != nil {
-				e.Execs = rec.Stat.Execs
-				e.Yield = rec.Stat.Yield
-			}
-		case rec.Min != nil:
-			if e := c.byKey[rec.Min.Key]; e != nil {
-				e.Scenario = rec.Min.Scenario
-				e.Minimized = true
-			}
-		default:
-			return nil // unknown record shape: stop replaying
-		}
+		return fmt.Errorf("written under engine %q, this engine is %q", hdr.KeyVersion, campaign.ScenarioKeyVersion)
 	}
 	return nil
+}
+
+// replay applies one record line to the in-memory corpus. An unparseable
+// line or an unknown record shape ends the replay.
+func (c *Corpus) replay(line []byte) (bool, error) {
+	var rec corpusRecord
+	if err := json.Unmarshal(line, &rec); err != nil {
+		return false, nil
+	}
+	switch {
+	case rec.Add != nil:
+		e := *rec.Add
+		e.dirty = false
+		c.insert(&e)
+	case rec.Stat != nil:
+		if e := c.byKey[rec.Stat.Key]; e != nil {
+			e.Execs = rec.Stat.Execs
+			e.Yield = rec.Stat.Yield
+		}
+	case rec.Min != nil:
+		if e := c.byKey[rec.Min.Key]; e != nil {
+			e.Scenario = rec.Min.Scenario
+			e.Minimized = true
+		}
+	default:
+		return false, nil
+	}
+	return true, nil
 }
 
 func (c *Corpus) insert(e *Entry) {
@@ -197,24 +158,11 @@ func (c *Corpus) insert(e *Entry) {
 	c.sigs[e.Signature] = true
 }
 
-// append writes one record line (no-op for memory-only corpora).
-func (c *Corpus) append(rec corpusRecord) error {
-	if c.f == nil {
-		return nil
-	}
-	line, err := json.Marshal(rec)
-	if err != nil {
-		return err
-	}
-	_, err = c.f.Write(append(line, '\n'))
-	return err
-}
-
 // Add inserts a new entry and persists it.
 func (c *Corpus) Add(e Entry) error {
 	ent := e
 	c.insert(&ent)
-	return c.append(corpusRecord{Add: &ent})
+	return c.log.Append(corpusRecord{Add: &ent})
 }
 
 // Observe credits one scheduled child to the named parent (and its novelty,
@@ -239,7 +187,7 @@ func (c *Corpus) FlushStats() error {
 			continue
 		}
 		e.dirty = false
-		if err := c.append(corpusRecord{Stat: &corpusStat{Key: e.Key, Execs: e.Execs, Yield: e.Yield}}); err != nil {
+		if err := c.log.Append(corpusRecord{Stat: &corpusStat{Key: e.Key, Execs: e.Execs, Yield: e.Yield}}); err != nil {
 			return err
 		}
 	}
@@ -255,16 +203,13 @@ func (c *Corpus) ReplaceMinimized(key string, s campaign.Scenario) error {
 	}
 	e.Scenario = s
 	e.Minimized = true
-	return c.append(corpusRecord{Min: &corpusMin{Key: key, Scenario: s}})
+	return c.log.Append(corpusRecord{Min: &corpusMin{Key: key, Scenario: s}})
 }
 
 // Close closes the backing file, if any.
 func (c *Corpus) Close() error {
-	if c.f == nil {
-		return nil
-	}
-	err := c.f.Close()
-	c.f = nil
+	err := c.log.Close()
+	c.log = nil
 	return err
 }
 

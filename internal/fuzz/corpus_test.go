@@ -66,7 +66,8 @@ func TestCorpusRoundTripSchedulingOrder(t *testing.T) {
 }
 
 // A torn tail — a partial record from a crashed writer — is dropped, and
-// everything before it replays; matching the campaign journal's semantics.
+// everything before it replays; a resume truncates it away, so records
+// appended afterwards survive the next load.
 func TestCorpusTornTail(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "corpus.jsonl")
 	c, err := OpenCorpus(path, false)
@@ -109,10 +110,13 @@ func TestCorpusTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer again.Close()
-	// The torn bytes are still in the file ahead of the new record, so
-	// replay stops before it: durable recovery keeps the clean prefix.
-	if again.Len() != 2 {
-		t.Fatalf("after append past torn tail: %d entries, want 2", again.Len())
+	// The resume truncated the torn bytes before appending, so the entry
+	// added after the crash survives the reload.
+	if again.Len() != 3 {
+		t.Fatalf("after append past torn tail: %d entries, want 3", again.Len())
+	}
+	if !again.HasSignature("sig-c") {
+		t.Fatal("entry appended after resume lost on reload")
 	}
 }
 

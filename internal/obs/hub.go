@@ -13,7 +13,7 @@ type StreamEvent struct {
 }
 
 // Hub fans StreamEvents out to subscribers — the broadcast plane behind
-// GET /campaigns/{id}/events. Publishing never blocks: a subscriber whose
+// GET /v1/campaigns/{id}/events. Publishing never blocks: a subscriber whose
 // buffer is full misses that event (SSE clients resynchronize from the next
 // heartbeat, which always carries cumulative progress). Close terminates
 // every subscription; late subscribers to a closed hub get an immediately

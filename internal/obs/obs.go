@@ -24,7 +24,7 @@
 //     RingHandler tees slog records into it; Dump writes the retained
 //     window as JSONL — the forensic context the dmafaultd supervisor
 //     ships with every stall, panic, quarantine trip, and SIGTERM.
-//   - Hub: a fan-out of live events backing GET /campaigns/{id}/events.
+//   - Hub: a fan-out of live events backing GET /v1/campaigns/{id}/events.
 //
 // Every method on Tracer, Span, Recorder, and Hub is nil-receiver safe, so
 // call sites sprinkle spans without guarding "is observability on".

@@ -21,7 +21,7 @@ type rig struct {
 
 func newRig(t *testing.T) *rig {
 	t.Helper()
-	sys, err := core.NewSystem(core.Config{Seed: 77, KASLR: true, Mode: iommu.Strict})
+	sys, err := core.New(core.WithSeed(77), core.WithIOMMUMode(iommu.Strict))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,12 +17,14 @@
 //	         payload (canonical JSON campaign.Result, ID blanked)
 //	         uint32 CRC-32 (IEEE) over salt ‖ digest ‖ payload
 //
-// The log shares the journal's durability idiom: records are appended in
-// one Write under a mutex, a torn or corrupt tail (the crash shape) is
-// tolerated on open and truncated away, and the last record for a digest
-// wins. Open loads a hash-first in-memory index (digest → record offset);
-// Get reads and decodes the payload on demand, so a warm store holds one
-// map entry per record, not one decoded Result.
+// Records are appended in one Write under a mutex, a torn or corrupt tail
+// (the crash shape) is tolerated on open and truncated away, and the last
+// record for a digest wins. Open loads a hash-first in-memory index
+// (digest → record offset); Get reads the payload at its indexed offset
+// (ReadAt), checks its CRC and decodes it on demand, so a warm store holds
+// one map entry per record, not one decoded Result. That random access is
+// why the store keeps this binary framing instead of internal/recordlog,
+// whose line-oriented records can only be read by replaying the file.
 //
 // Engine-version invalidation is belt and braces: the salt folded into
 // every digest means a stale-engine record can never be looked up, and the
@@ -272,7 +274,7 @@ func (st *Store) Get(d campaign.Digest) (*campaign.Result, bool) {
 }
 
 // Put implements campaign.Store: append one record (a single Write under
-// the mutex, like the journal) and point the index at it. The last record
+// the mutex) and point the index at it. The last record
 // for a digest wins, so overwriting is append-only too.
 func (st *Store) Put(d campaign.Digest, r *campaign.Result) error {
 	payload, err := json.Marshal(r)
