@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: check fmt build vet test race fuzzcheck bench benchgate campaign faultsmoke fuzzsmoke cachesmoke soaksmoke fabricsmoke chaossmoke fleetsmoke
+.PHONY: check fmt build vet test race fuzzcheck bench benchgate campaign faultsmoke fuzzsmoke cachesmoke soaksmoke
 
-check: fmt vet build race fuzzcheck faultsmoke fuzzsmoke cachesmoke soaksmoke fabricsmoke chaossmoke fleetsmoke
+check: fmt vet build race fuzzcheck faultsmoke fuzzsmoke cachesmoke soaksmoke
 
 # gofmt gate: fail listing any file that needs formatting.
 fmt:
@@ -26,13 +26,14 @@ test:
 race:
 	$(GO) test -race -timeout 30m ./...
 
-# Bounded native fuzzing (~40s): each testing.F target runs for 10s on its
+# Bounded native fuzzing (~50s): each testing.F target runs for 10s on its
 # own package, starting from its committed seed corpus under testdata/fuzz.
 # A crasher is written to that testdata directory and fails the target.
 fuzzcheck:
 	$(GO) test -run '^$$' -fuzz '^FuzzRecordLog$$' -fuzztime 10s ./internal/recordlog
 	$(GO) test -run '^$$' -fuzz '^FuzzMemoryOps$$' -fuzztime 10s ./internal/mem
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/cminor
+	$(GO) test -run '^$$' -fuzz '^FuzzReadJSONL$$' -fuzztime 10s ./internal/trace
 
 # One pass over every benchmark, teed through cmd/benchjson into a
 # benchstat-comparable JSON artifact. -benchtime=3x keeps it minutes, not
@@ -81,36 +82,25 @@ cachesmoke:
 	$(GO) run ./cmd/campaign -preset ladder -n 8 -quiet -cache $$tmp/results.bin -require-cached >/dev/null; \
 	rc=$$?; rm -rf $$tmp; exit $$rc
 
-# Supervision chaos soak: boot dmafaultd, run fault-injected campaigns
-# through the bounded scheduler, cancel some mid-flight, kill -9 the daemon
-# mid-campaign, restart it on the same journal dir, and require boot recovery
-# to finish the interrupted job (cmd/soaksmoke).
+# The one end-to-end soak (cmd/soaksmoke): builds dmafaultd, campaign and
+# fabrictop once, then runs four phases; a failing phase names itself.
+#  - daemon: boot dmafaultd, run fault-injected campaigns through the bounded
+#    scheduler, cancel some mid-flight, kill -9 the daemon mid-campaign and
+#    restart it on the same journal dir; the victim job must come back
+#    Recovered and done with all 10 scenarios, a new job must get a later ID
+#    and finish, and SIGTERM must drain cleanly.
+#  - fleet: coordinator + 3 workers with -fleetobs under a mild netchaos
+#    plan; mid-run, /v1/fleet must attribute nonzero queue-wait, execute and
+#    publish time to all three workers and fabrictop -once must list them.
+#  - chaos: the same workers under a byzantine netchaos plan (bit-flipped and
+#    truncated bodies, 503 storms, connection drops, short partitions), with
+#    fabric_integrity_rejected_total > 0 and fabric_steals_total > 0 proving
+#    the rejection and work-stealing defenses fired.
+#  - kill: join a third worker over HTTP, kill -9 a worker while it holds
+#    shard leases, kill -9 the coordinator once the re-lease is journaled,
+#    resume it, require fabric_releases_total > 0 and the survivors to drain.
+# Every fabric phase's merged summary must be byte-identical to one clean
+# single-node run of the same 28-scenario set; the three share one pool of
+# three workers, and kill runs last because it kills one of them.
 soaksmoke:
 	$(GO) run ./cmd/soaksmoke
-
-# Distributed-fabric soak: coordinator + 3 dmafaultd workers, kill -9 one
-# worker while it holds shard leases, kill -9 the coordinator after the
-# re-lease is journaled, resume it, and require the merged summary to be
-# byte-identical to a single-node run with fabric_releases_total > 0
-# (cmd/soaksmoke -fabric).
-fabricsmoke:
-	$(GO) run ./cmd/soaksmoke -fabric
-
-# Byzantine-fabric soak: coordinator + 3 healthy workers, but every
-# worker-bound request rides a deterministic netchaos plan (bit-flipped and
-# truncated bodies, 503 storms, connection drops, short partitions). The
-# merged summary must stay byte-identical to a clean single-node run, with
-# fabric_integrity_rejected_total > 0 and fabric_steals_total > 0 proving
-# the rejection and work-stealing defenses actually fired
-# (cmd/soaksmoke -chaos).
-chaossmoke:
-	$(GO) run ./cmd/soaksmoke -chaos
-
-# Fleet observability soak: coordinator + 3 workers with -fleetobs under a
-# mild netchaos plan. Mid-run, /v1/fleet must attribute nonzero per-phase
-# latency (queue-wait / execute / publish) to all three workers and
-# fabrictop -once must render them; the merged summary must stay
-# byte-identical to a clean single-node run — the telemetry plane is pure
-# observation (cmd/soaksmoke -fleet).
-fleetsmoke:
-	$(GO) run ./cmd/soaksmoke -fleet

@@ -74,11 +74,10 @@ func main() {
 	cacheDir := flag.String("cache-dir", "",
 		"directory for the shared content-addressed result cache (results.bin); jobs replay cached scenario results instead of re-executing; empty disables caching")
 	join := flag.String("join", "",
-		"fabric coordinator base URL to register with (e.g. http://127.0.0.1:9100); the daemon re-announces itself on -join-interval")
+		"fabric coordinator base URL to register with (e.g. http://127.0.0.1:9100); the daemon re-announces itself every "+
+			fabric.DefaultJoinInterval.String())
 	advertise := flag.String("advertise", "",
 		"base URL workers should be reached at by the coordinator; empty derives it from the resolved listen address")
-	joinInterval := flag.Duration("join-interval", fabric.DefaultJoinInterval,
-		"how often to re-announce to the -join coordinator")
 	cf := cliutil.New("dmafaultd").WithWorkers().WithQuiet().WithLog()
 	cf.Parse()
 
@@ -151,7 +150,7 @@ func main() {
 		if adv == "" {
 			adv = advertiseURL(ln.Addr().String())
 		}
-		go fabric.JoinLoop(joinCtx, *join, adv, *joinInterval, log)
+		go fabric.JoinLoop(joinCtx, *join, adv, log)
 	}
 
 	hs := &http.Server{Handler: srv.Handler()}

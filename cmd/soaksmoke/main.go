@@ -1,19 +1,37 @@
-// Command soaksmoke is the dmafaultd chaos soak behind `make soaksmoke`: it
-// builds and boots the daemon, hammers the job plane with fault-injected
-// campaigns, cancels some mid-flight, kill -9s the daemon while a campaign
-// is running, restarts it against the same journal directory, and verifies
-// that boot recovery resumes and finishes the interrupted work. A short run
-// (~15s) that proves the whole supervision layer — admission, scheduler,
-// journal recovery, graceful shutdown — on every `make check`. All daemon
-// traffic goes through the typed /v1 client (internal/faultdclient).
+// Command soaksmoke is the end-to-end soak behind `make soaksmoke`. It
+// builds dmafaultd, campaign and fabrictop once, then runs four phases in
+// order; a failing phase ends the run with an error that starts with its
+// name ("kill phase: ...").
+//
+//  1. daemon — the supervision soak: boot dmafaultd, hammer the job plane
+//     with fault-injected campaigns, cancel some mid-flight, kill -9 the
+//     daemon while a campaign is running, restart it against the same
+//     journal directory, and require boot recovery to finish the
+//     interrupted job, a fresh submission to run, and SIGTERM to drain.
+//  2. fleet — a coordinator with -fleetobs over three workers under a mild
+//     netchaos plan: /v1/fleet must attribute queue-wait, execute and
+//     publish time to every worker, fabrictop -once must list them, and
+//     the merged summary must match the single-node reference.
+//  3. chaos — the same workers under a byzantine netchaos plan (corrupt
+//     and torn bodies, 503 storms, drops, partitions): the summary must
+//     still match, with fabric_integrity_rejected_total > 0 and
+//     fabric_steals_total > 0 proving both defenses fired.
+//  4. kill — kill -9 a worker while it holds shard leases, kill -9 the
+//     coordinator once the re-lease is journaled, restart it with -resume,
+//     and require the summary to match with fabric_releases_total > 0 and
+//     the surviving workers to drain.
+//
+// The three fabric phases share one stall-scenario set, one single-node
+// reference summary (the byte-identity oracle), and one pool of three
+// workers that is spawned and preflighted once. kill runs last because it
+// kills one of those workers. All daemon traffic goes through the typed /v1
+// client (internal/faultdclient).
 //
 // Usage:
 //
-//	soaksmoke            # default soak
-//	soaksmoke -seed 7    # re-roll which jobs get cancelled
-//	soaksmoke -fabric    # multi-node fabric soak (see fabricsoak.go)
-//	soaksmoke -chaos     # byzantine fabric soak under netchaos (see chaossoak.go)
-//	soaksmoke -fleet     # fleet observability soak (see fleetsoak.go)
+//	soaksmoke            # all four phases (~20-40s on two cores)
+//	soaksmoke -seed 7    # re-roll which daemon-phase jobs get cancelled
+//	soaksmoke -keep      # keep the scratch dir: child logs, summaries, journals
 package main
 
 import (
@@ -37,46 +55,16 @@ import (
 	"dmafault/internal/faultdclient"
 )
 
-// The daemon announces its listener as a structured slog record
-// (msg=listening addr=HOST:PORT ...); addrRE pulls the resolved address out
-// of that line.
+// Daemons and coordinators announce their listener as a structured slog
+// record (msg=...listening addr=HOST:PORT ...); addrRE pulls the resolved
+// address out of that line.
 var addrRE = regexp.MustCompile(`\baddr=(\S+)`)
 
 func main() {
 	keep := flag.Bool("keep", false, "keep the scratch directory for inspection")
-	fabricSoak := flag.Bool("fabric", false,
-		"run the multi-node fabric soak (coordinator + 3 workers, dead-worker re-lease, coordinator resume) instead of the daemon chaos soak")
-	chaosSoak := flag.Bool("chaos", false,
-		"run the byzantine fabric soak (coordinator + 3 workers under a netchaos plan: corrupt bodies, 503 storms, partitions; byte-compared against a clean single-node run) instead of the daemon chaos soak")
-	fleetSoak := flag.Bool("fleet", false,
-		"run the fleet observability soak (coordinator + 3 workers with -fleetobs under mild netchaos: /v1/fleet must attribute per-phase time to all workers, fabrictop -once must render them, and the summary must match a clean run) instead of the daemon chaos soak")
 	cf := cliutil.New("soaksmoke").WithSeed().WithLog()
 	cf.Parse()
 	log := cf.Logger(nil)
-	if *fabricSoak {
-		if err := runFabricSoak(log, *keep); err != nil {
-			log.Error("fabric soak failed", "err", err)
-			os.Exit(1)
-		}
-		fmt.Println("fabricsmoke: OK")
-		return
-	}
-	if *chaosSoak {
-		if err := runChaosSoak(log, *keep); err != nil {
-			log.Error("chaos soak failed", "err", err)
-			os.Exit(1)
-		}
-		fmt.Println("chaossmoke: OK")
-		return
-	}
-	if *fleetSoak {
-		if err := runFleetSoak(log, *keep); err != nil {
-			log.Error("fleet soak failed", "err", err)
-			os.Exit(1)
-		}
-		fmt.Println("fleetsmoke: OK")
-		return
-	}
 	if err := run(log, *cf.Seed, *keep); err != nil {
 		log.Error("soak failed", "err", err)
 		os.Exit(1)
@@ -84,9 +72,19 @@ func main() {
 	fmt.Println("soaksmoke: OK")
 }
 
+// soak is one run's shared state: the scratch directory, the binaries
+// built once, and the fabric phases' scenario set, reference and workers.
+type soak struct {
+	log *slog.Logger
+	dir string
+	seq int // numbers the child-process logs
+
+	setPath string
+	single  []byte // single-node reference summary
+	workers []*proc
+}
+
 func run(log *slog.Logger, seed int64, keep bool) error {
-	ctx := context.Background()
-	rng := rand.New(rand.NewSource(seed))
 	dir, err := os.MkdirTemp("", "soaksmoke-")
 	if err != nil {
 		return err
@@ -96,18 +94,71 @@ func run(log *slog.Logger, seed int64, keep bool) error {
 	} else {
 		defer os.RemoveAll(dir)
 	}
-	journalDir := filepath.Join(dir, "journals")
+	s := &soak{log: log, dir: dir}
+	defer func() {
+		for _, w := range s.workers {
+			w.kill()
+		}
+	}()
+	if out, err := exec.Command("go", "build", "-o", dir+"/",
+		"./cmd/dmafaultd", "./cmd/campaign", "./cmd/fabrictop").CombinedOutput(); err != nil {
+		return fmt.Errorf("build: %v\n%s", err, out)
+	}
+	if err := s.startPool(context.Background()); err != nil {
+		return fmt.Errorf("fabric set-up: %w", err)
+	}
+	phases := []struct {
+		name string
+		run  func() error
+	}{
+		{"daemon", func() error { return s.daemonPhase(seed) }},
+		{"fleet", s.fleetPhase},
+		{"chaos", s.chaosPhase},
+		{"kill", s.killPhase}, // last: it kills a pool worker
+	}
+	for _, p := range phases {
+		start := time.Now()
+		if err := p.run(); err != nil {
+			return fmt.Errorf("%s phase: %w", p.name, err)
+		}
+		log.Info("phase passed", "phase", p.name, "elapsed", time.Since(start).Round(time.Millisecond))
+	}
+	return nil
+}
+
+// bin is the path of one of the binaries run builds into the scratch dir.
+func (s *soak) bin(name string) string { return filepath.Join(s.dir, name) }
+
+// daemonPhase is the supervision soak: load, chaos-cancel, kill -9,
+// restart on the same journal directory, recover, drain.
+func (s *soak) daemonPhase(seed int64) error {
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(seed))
+	journalDir := filepath.Join(s.dir, "journals")
 	if err := os.Mkdir(journalDir, 0o755); err != nil {
 		return err
 	}
-
-	bin := filepath.Join(dir, "dmafaultd")
-	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/dmafaultd").CombinedOutput(); err != nil {
-		return fmt.Errorf("build dmafaultd: %v\n%s", err, out)
+	startDaemon := func() (*proc, error) {
+		d, err := s.start("daemon", s.bin("dmafaultd"),
+			"-addr", "127.0.0.1:0",
+			"-journal-dir", journalDir,
+			"-max-concurrent-campaigns", "2",
+			"-queue-depth", "32",
+			"-job-stall-timeout", "1m",
+			"-quarantine-threshold", "3",
+		)
+		if err != nil {
+			return nil, err
+		}
+		if err := preflightWorkers(ctx, []string{d.url}, 10*time.Second); err != nil {
+			d.kill()
+			return nil, err
+		}
+		return d, nil
 	}
 
-	// Phase 1: boot, load the job plane, chaos-cancel, then kill -9.
-	d, err := startDaemon(bin, journalDir)
+	// Boot, load the job plane, chaos-cancel, then kill -9.
+	d, err := startDaemon()
 	if err != nil {
 		return err
 	}
@@ -162,9 +213,9 @@ func run(log *slog.Logger, seed int64, keep bool) error {
 		return fmt.Errorf("kill -9: %w", err)
 	}
 
-	// Phase 2: restart against the same journal directory; recovery must
+	// Restart against the same journal directory; recovery must
 	// re-register the interrupted victim and run it to completion.
-	d2, err := startDaemon(bin, journalDir)
+	d2, err := startDaemon()
 	if err != nil {
 		return fmt.Errorf("restart: %w", err)
 	}
@@ -181,9 +232,9 @@ func run(log *slog.Logger, seed int64, keep bool) error {
 		return fmt.Errorf("victim did not finish after recovery: %+v", job)
 	}
 
-	// The restarted daemon is a fresh service: fast jobs from phase 1 that
-	// finished before the kill are finished journals (not re-registered),
-	// and new submissions work immediately.
+	// The restarted daemon is a fresh service: fast jobs that finished
+	// before the kill are finished journals (not re-registered), and new
+	// submissions work immediately.
 	check, err := d2.c.Submit(ctx, api.SubmitRequest{Name: "post-restart", Preset: "ladder", N: 4, Seed: 9})
 	if err != nil {
 		return fmt.Errorf("post-restart submit: %w", err)
@@ -199,7 +250,7 @@ func run(log *slog.Logger, seed int64, keep bool) error {
 	if err := d2.term(15 * time.Second); err != nil {
 		return fmt.Errorf("graceful shutdown: %w", err)
 	}
-	log.Info("soak finished",
+	s.log.Info("daemon phase finished",
 		"jobs", len(ids)+2, "chaos_cancelled", len(cancelled), "recovered_victim", victim)
 	return nil
 }
@@ -222,99 +273,108 @@ func stallScenarios(n int) []campaign.Scenario {
 	return scs
 }
 
-// daemon wraps one dmafaultd process and its API client.
-type daemon struct {
+// proc is one announced child process — a daemon, a pool worker or a
+// coordinator — with a /v1 client pointed at its listener.
+type proc struct {
 	cmd *exec.Cmd
+	url string
 	c   *faultdclient.Client
 }
 
-// startDaemon boots dmafaultd on an ephemeral port and waits for /healthz.
-func startDaemon(bin, journalDir string) (*daemon, error) {
-	cmd := exec.Command(bin,
-		"-addr", "127.0.0.1:0",
-		"-journal-dir", journalDir,
-		"-max-concurrent-campaigns", "2",
-		"-queue-depth", "32",
-		"-job-stall-timeout", "1m",
-		"-quarantine-threshold", "3",
-	)
+// start launches bin, tees its stderr to <dir>/<role>-N.log for
+// post-mortems (-keep), and waits for its listener announcement.
+func (s *soak) start(role, bin string, args ...string) (*proc, error) {
+	cmd := exec.Command(bin, args...)
 	stderr, err := cmd.StderrPipe()
 	if err != nil {
 		return nil, err
 	}
-	if err := cmd.Start(); err != nil {
+	s.seq++
+	lf, err := os.Create(filepath.Join(s.dir, fmt.Sprintf("%s-%d.log", role, s.seq)))
+	if err != nil {
 		return nil, err
 	}
-	// The daemon announces its resolved address once the listener exists.
+	if err := cmd.Start(); err != nil {
+		lf.Close()
+		return nil, err
+	}
 	addrCh := make(chan string, 1)
 	go func() {
+		// Keep draining stderr for the process's lifetime so it never
+		// blocks on a full pipe.
+		defer lf.Close()
 		sc := bufio.NewScanner(stderr)
 		for sc.Scan() {
 			line := sc.Text()
-			if !strings.Contains(line, "msg=listening") {
+			fmt.Fprintln(lf, line)
+			if !strings.Contains(line, "listening") {
 				continue
 			}
 			if m := addrRE.FindStringSubmatch(line); m != nil {
-				addrCh <- m[1]
+				select {
+				case addrCh <- m[1]:
+				default:
+				}
 			}
 		}
 	}()
 	select {
 	case addr := <-addrCh:
-		d := &daemon{cmd: cmd, c: faultdclient.New("http://" + addr)}
-		if err := d.waitHealthy(10 * time.Second); err != nil {
-			d.kill()
-			return nil, err
-		}
-		return d, nil
-	case <-time.After(15 * time.Second):
+		url := "http://" + addr
+		s.log.Info("started", "role", role, "url", url)
+		return &proc{cmd: cmd, url: url, c: faultdclient.New(url)}, nil
+	case <-time.After(20 * time.Second):
 		_ = cmd.Process.Kill()
-		return nil, fmt.Errorf("daemon never announced its listener")
+		return nil, fmt.Errorf("%s never announced its listener", role)
 	}
 }
 
-func (d *daemon) kill() error {
-	if d.cmd.Process == nil {
+// kill sends SIGKILL — no drain, no journal flush beyond appended lines —
+// and reaps the process.
+func (p *proc) kill() error {
+	if p.cmd.Process == nil {
 		return nil
 	}
-	err := d.cmd.Process.Kill() // SIGKILL: no drain, no journal flush beyond appended lines
-	_, _ = d.cmd.Process.Wait()
+	err := p.cmd.Process.Kill()
+	_, _ = p.cmd.Process.Wait()
 	return err
 }
 
 // term sends SIGTERM and waits for a clean exit within the budget.
-func (d *daemon) term(budget time.Duration) error {
-	if err := d.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+func (p *proc) term(budget time.Duration) error {
+	if err := p.cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		return err
 	}
 	done := make(chan error, 1)
-	go func() { _, err := d.cmd.Process.Wait(); done <- err }()
+	go func() { _, err := p.cmd.Process.Wait(); done <- err }()
 	select {
 	case err := <-done:
 		return err
 	case <-time.After(budget):
-		_ = d.cmd.Process.Kill()
+		_ = p.cmd.Process.Kill()
 		return fmt.Errorf("did not exit within %s of SIGTERM", budget)
 	}
 }
 
-func (d *daemon) waitHealthy(budget time.Duration) error {
-	deadline := time.Now().Add(budget)
-	for time.Now().Before(deadline) {
-		if body, err := d.c.Health(context.Background()); err == nil && body == "ok" {
-			return nil
-		}
-		time.Sleep(50 * time.Millisecond)
+// waitExit waits for the process to finish and succeed.
+func (p *proc) waitExit(budget time.Duration) error {
+	done := make(chan error, 1)
+	go func() { done <- p.cmd.Wait() }()
+	select {
+	case err := <-done:
+		return err
+	case <-time.After(budget):
+		_ = p.cmd.Process.Kill()
+		return fmt.Errorf("did not finish within %s", budget)
 	}
-	return fmt.Errorf("daemon at %s never became healthy", d.c.Base)
 }
 
 // waitProgress polls until the job has completed at least n scenarios.
-func (d *daemon) waitProgress(id, n int, budget time.Duration) error {
+func (p *proc) waitProgress(id, n int, budget time.Duration) error {
 	ctx := context.Background()
 	deadline := time.Now().Add(budget)
 	for time.Now().Before(deadline) {
-		j, err := d.c.Get(ctx, id)
+		j, err := p.c.Get(ctx, id)
 		if err != nil {
 			return err
 		}
@@ -330,10 +390,10 @@ func (d *daemon) waitProgress(id, n int, budget time.Duration) error {
 }
 
 // waitTerminal polls until the job leaves the queued/running states.
-func (d *daemon) waitTerminal(id int, budget time.Duration) (*api.Job, error) {
+func (p *proc) waitTerminal(id int, budget time.Duration) (*api.Job, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), budget)
 	defer cancel()
-	job, err := d.c.WaitTerminal(ctx, id, 0)
+	job, err := p.c.WaitTerminal(ctx, id, 0)
 	if err != nil && job != nil {
 		return job, fmt.Errorf("job %d still %s after %s", id, job.Status, budget)
 	}

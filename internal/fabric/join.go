@@ -15,19 +15,17 @@ import (
 // waits before rediscovering the worker.
 const DefaultJoinInterval = 2 * time.Second
 
-// JoinLoop announces a worker to a fabric coordinator until ctx ends —
-// dmafaultd -join runs this beside its HTTP listener. Failures are logged
-// and retried on the next tick: a coordinator that is momentarily down
-// (restarting mid-campaign) must not cost the worker its membership.
-func JoinLoop(ctx context.Context, coordinator, advertise string, interval time.Duration, log *slog.Logger) {
-	if interval <= 0 {
-		interval = DefaultJoinInterval
-	}
+// JoinLoop announces a worker to a fabric coordinator every
+// DefaultJoinInterval until ctx ends — dmafaultd -join runs this beside its
+// HTTP listener. Failures are logged and retried on the next tick: a
+// coordinator that is momentarily down (restarting mid-campaign) must not
+// cost the worker its membership.
+func JoinLoop(ctx context.Context, coordinator, advertise string, log *slog.Logger) {
 	cl := faultdclient.New(coordinator)
 	// Joins retry inline on transient statuses already (client policy);
 	// keep the loop's own cadence on top so a long outage re-announces
 	// forever rather than giving up.
-	t := time.NewTicker(interval)
+	t := time.NewTicker(DefaultJoinInterval)
 	defer t.Stop()
 	joined := false
 	for {
