@@ -26,26 +26,34 @@ test:
 race:
 	$(GO) test -race -timeout 30m ./...
 
-# Bounded native fuzzing (~50s): each testing.F target runs for 10s on its
+# Bounded native fuzzing (~60s): each testing.F target runs for 10s on its
 # own package, starting from its committed seed corpus under testdata/fuzz.
 # A crasher is written to that testdata directory and fails the target.
 fuzzcheck:
 	$(GO) test -run '^$$' -fuzz '^FuzzRecordLog$$' -fuzztime 10s ./internal/recordlog
 	$(GO) test -run '^$$' -fuzz '^FuzzMemoryOps$$' -fuzztime 10s ./internal/mem
+	$(GO) test -run '^$$' -fuzz '^FuzzSlabOps$$' -fuzztime 10s ./internal/mem
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/cminor
 	$(GO) test -run '^$$' -fuzz '^FuzzReadJSONL$$' -fuzztime 10s ./internal/trace
 
-# One pass over every benchmark, teed through cmd/benchjson into a
-# benchstat-comparable JSON artifact. -benchtime=3x keeps it minutes, not
-# hours, while averaging enough iterations that benchgate compares means
-# instead of single noisy draws (single-iteration artifacts on a loaded
-# one-core host swing ±40% on identical code). BENCH_N numbers the
-# committed snapshots: bump it and commit BENCH_N.json when the numbers
-# move for a reason worth recording. internal/kexec contributes the gadget
-# layer's own row (BenchmarkExtractBuildOffsets) beneath BenchmarkBootOnce.
-BENCH_N ?= 12
+# One pass over every benchmark, in two go test calls teed through
+# cmd/benchjson into one benchstat-comparable JSON artifact. The micro
+# benchmarks (MICRO_BENCH: one substrate operation per iteration) run at the
+# default benchtime: at a fixed tiny b.N their timed loop would mostly pay
+# for the first touch of a 2 MiB memory section, not for the operation. The
+# macro rows (boot, per-artifact, campaign, D-KASAN soak, fabric) run at
+# -benchtime=3x, which keeps the pass minutes, not hours, while averaging
+# enough iterations that benchgate compares means instead of single noisy
+# draws. BENCH_N numbers the committed snapshots: bump it and commit
+# BENCH_N.json when the numbers move for a reason worth recording.
+# internal/kexec contributes the gadget layer's own row
+# (BenchmarkExtractBuildOffsets) beneath BenchmarkBootOnce.
+MICRO_BENCH = ^Benchmark(MapUnmap|IOTLBTranslate|KmallocKfree|PageFragAlloc|Bounce|RXPathPerPacket|FuzzSignature)
+BENCH_N ?= 16
 bench:
-	$(GO) test -bench=. -benchmem -benchtime=3x -run=^$$ . ./internal/kexec | $(GO) run ./cmd/benchjson -out BENCH_$(BENCH_N).json
+	{ $(GO) test -bench='$(MICRO_BENCH)' -benchmem -run=^$$ . && \
+	  $(GO) test -bench=. -skip='$(MICRO_BENCH)' -benchmem -benchtime=3x -run=^$$ . ./internal/kexec; } \
+		| $(GO) run ./cmd/benchjson -out BENCH_$(BENCH_N).json
 
 # Regression gate over the two newest committed BENCH_*.json: >20% ns/op
 # regression on the fabric-throughput or cache-hit benchmarks fails. Advisory

@@ -440,6 +440,36 @@ func BenchmarkPageSprayAttack(b *testing.B) {
 	}
 }
 
+// BenchmarkDKASANSoak runs one fixed D-KASAN soak campaign on one worker:
+// 48k, 32k and 16k build+ping iterations under deferred and strict IOMMU
+// modes. Nearly all of its time is the allocator, sanitizer and DMA
+// datapath, not machine construction, so it is the macro row that moves
+// when those per-access costs do.
+func BenchmarkDKASANSoak(b *testing.B) {
+	var set []campaign.Scenario
+	for i, iters := range []int{49152, 32768, 16384} {
+		for j, mode := range []string{"deferred", "strict"} {
+			set = append(set, campaign.Scenario{
+				Kind: campaign.KindDKASAN, Seed: 2021 + int64(2*i+j),
+				Iterations: iters, Mode: mode, Driver: "i40e", Kernel: "5.0",
+			})
+		}
+	}
+	for i := 0; i < b.N; i++ {
+		eng := campaign.Engine{Workers: 1}
+		sum, err := eng.Run(set)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, r := range sum.Results {
+			if r.Err != "" {
+				b.Fatalf("soak scenario errored: %s", r.Err)
+			}
+		}
+	}
+	b.ReportMetric(float64(len(set)*b.N)/b.Elapsed().Seconds(), "scenarios/s")
+}
+
 // BenchmarkFuzzSignature is the fuzzer's per-execution bookkeeping cost:
 // result → coverage signature.
 func BenchmarkFuzzSignature(b *testing.B) {

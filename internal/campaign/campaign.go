@@ -20,11 +20,7 @@
 // sequential entry points are thin wrappers over the engine's pool.
 package campaign
 
-import (
-	"fmt"
-	"io"
-	"os"
-)
+import "io"
 
 // Campaign is the on-disk document: a named scenario set plus a default
 // worker count. cmd/campaign loads/saves these.
@@ -46,16 +42,6 @@ func Load(r io.Reader) (*Campaign, error) {
 		return nil, err
 	}
 	return &Campaign{Scenarios: scs}, nil
-}
-
-// LoadFile is Load over a path.
-func LoadFile(path string) (*Campaign, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("campaign: %w", err)
-	}
-	defer f.Close()
-	return Load(f)
 }
 
 // Presets generate ready-to-run scenario sets for the CLI and tests. All

@@ -81,7 +81,9 @@ func (r *Report) String() string {
 	return fmt.Sprintf("%s: size %d %s %s (x%d)", r.Class, r.Size, r.perms(), r.Site, r.Count)
 }
 
-// pageState is the sanitizer's per-frame shadow record.
+// pageState is the sanitizer's per-frame shadow record. It stays separate
+// from mem.PageInfo: dma.Mapper bumps PageInfo's map count before its hooks
+// fire, while D-KASAN checks its own count before incrementing it.
 type pageState struct {
 	mapCount int
 	read     bool
@@ -89,23 +91,18 @@ type pageState struct {
 }
 
 // Sanitizer is the D-KASAN instance. It implements mem.Tracer and dma.Hook.
+// Live kmalloc objects are not tracked here: the slab allocator already
+// knows them (Slab.ObjectsOnPage).
 type Sanitizer struct {
-	m     *mem.Memory
-	pages map[layout.PFN]*pageState
-	// objects tracks live kmalloc objects: addr -> (size, site).
-	objects map[layout.Addr]objInfo
-	reports map[string]*Report
-	// Enabled gates reporting (the tools is compiled in but switched on for
+	m *mem.Memory
+	// pages is indexed by PFN; Attach sizes it to the machine's frames.
+	pages []pageState
+	// reports is keyed by the report line without its count.
+	reports map[Report]*Report
+	// Enabled gates reporting (the tool is compiled in but switched on for
 	// test runs, like KASAN itself).
 	Enabled bool
-	// quiescedCPUAccess suppresses access-after-map noise from the
-	// sanitizer's own bookkeeping reads.
-	stats Stats
-}
-
-type objInfo struct {
-	size uint64
-	site string
+	stats   Stats
 }
 
 // Stats counts raw (pre-deduplication) events.
@@ -116,9 +113,7 @@ type Stats struct {
 // New creates a sanitizer; attach it via core.WithTracer AND Attach().
 func New() *Sanitizer {
 	return &Sanitizer{
-		pages:   make(map[layout.PFN]*pageState),
-		objects: make(map[layout.Addr]objInfo),
-		reports: make(map[string]*Report),
+		reports: make(map[Report]*Report),
 		Enabled: true,
 	}
 }
@@ -126,6 +121,7 @@ func New() *Sanitizer {
 // Attach wires the sanitizer to the booted system's memory and DMA API.
 func (s *Sanitizer) Attach(m *mem.Memory, mapper *dma.Mapper) {
 	s.m = m
+	s.pages = make([]pageState, m.NumPages())
 	mapper.AddHook(s)
 }
 
@@ -142,7 +138,12 @@ func (s *Sanitizer) Reports() []*Report {
 		if out[i].Count != out[j].Count {
 			return out[i].Count > out[j].Count
 		}
-		return out[i].Site < out[j].Site
+		if out[i].Site != out[j].Site {
+			return out[i].Site < out[j].Site
+		}
+		// Same count and site: order by the rest of the line, so that the
+		// order never depends on map iteration.
+		return out[i].String() < out[j].String()
 	})
 	return out
 }
@@ -169,21 +170,14 @@ func (s *Sanitizer) Render() string {
 }
 
 func (s *Sanitizer) report(c Class, size uint64, read, write bool, site string) {
-	key := fmt.Sprintf("%d|%d|%v|%v|%s", c, size, read, write, site)
+	key := Report{Class: c, Size: size, Read: read, Write: write, Site: site}
 	if r, ok := s.reports[key]; ok {
 		r.Count++
 		return
 	}
-	s.reports[key] = &Report{Class: c, Size: size, Read: read, Write: write, Site: site, Count: 1}
-}
-
-func (s *Sanitizer) page(p layout.PFN) *pageState {
-	st, ok := s.pages[p]
-	if !ok {
-		st = &pageState{}
-		s.pages[p] = st
-	}
-	return st
+	r := key
+	r.Count = 1
+	s.reports[key] = &r
 }
 
 // --- mem.Tracer ---
@@ -191,7 +185,6 @@ func (s *Sanitizer) page(p layout.PFN) *pageState {
 // OnKmalloc checks alloc-after-map: the fresh object landed on a page some
 // device can already access.
 func (s *Sanitizer) OnKmalloc(a layout.Addr, size uint64, site string) {
-	s.objects[a] = objInfo{size: size, site: site}
 	if !s.Enabled || s.m == nil {
 		return
 	}
@@ -204,8 +197,7 @@ func (s *Sanitizer) OnKmalloc(a layout.Addr, size uint64, site string) {
 		last = pfn
 	}
 	for p := pfn; p <= last; p++ {
-		st := s.page(p)
-		if st.mapCount > 0 {
+		if st := &s.pages[p]; st.mapCount > 0 {
 			s.stats.AllocAfterMap++
 			s.report(AllocAfterMap, size, st.read, st.write, site)
 			return
@@ -213,13 +205,10 @@ func (s *Sanitizer) OnKmalloc(a layout.Addr, size uint64, site string) {
 	}
 }
 
-// OnKfree drops the object from the live set.
-func (s *Sanitizer) OnKfree(a layout.Addr, size uint64) {
-	delete(s.objects, a)
-}
-
-// OnPageAlloc and OnPageFree are uninteresting to D-KASAN (frames carry no
-// objects yet / anymore) but required by the interface.
+// OnKfree, OnPageAlloc and OnPageFree are uninteresting to D-KASAN (the slab
+// allocator knows which objects are live; frames carry no objects yet /
+// anymore) but required by the interface.
+func (s *Sanitizer) OnKfree(a layout.Addr, size uint64)   {}
 func (s *Sanitizer) OnPageAlloc(p layout.PFN, order uint) {}
 func (s *Sanitizer) OnPageFree(p layout.PFN, order uint)  {}
 
@@ -232,16 +221,16 @@ func (s *Sanitizer) OnCPUAccess(a layout.Addr, n uint64, write bool) {
 	if err != nil {
 		return
 	}
-	st, ok := s.pages[pfn]
-	if !ok || st.mapCount == 0 {
+	st := &s.pages[pfn]
+	if st.mapCount == 0 {
 		return
 	}
 	s.stats.AccessAfterMap++
-	kind := "read"
+	site := "cpu-read"
 	if write {
-		kind = "write"
+		site = "cpu-write"
 	}
-	s.report(AccessAfterMap, n, st.read, st.write, fmt.Sprintf("cpu-%s", kind))
+	s.report(AccessAfterMap, n, st.read, st.write, site)
 }
 
 // --- dma.Hook ---
@@ -263,7 +252,7 @@ func (s *Sanitizer) OnMap(dev iommu.DeviceID, kva layout.Addr, n uint64, dir dma
 	read := dir.Perm().Allows(false)
 	write := dir.Perm().Allows(true)
 	for p := first; p <= last; p++ {
-		st := s.page(p)
+		st := &s.pages[p]
 		if s.Enabled && st.mapCount > 0 {
 			s.stats.MultipleMap++
 			s.report(MultipleMap, n, st.read || read, st.write || write, "dma-map")
@@ -307,7 +296,7 @@ func (s *Sanitizer) OnUnmap(dev iommu.DeviceID, kva layout.Addr, n uint64, dir d
 		last = first
 	}
 	for p := first; p <= last; p++ {
-		st := s.page(p)
+		st := &s.pages[p]
 		if st.mapCount > 0 {
 			st.mapCount--
 		}

@@ -236,13 +236,6 @@ func (l *Layout) KVAToPhys(a Addr) (uint64, error) {
 	return uint64(a - l.PageOffsetBase), nil
 }
 
-// InDirectMap reports whether the address falls inside the backed portion of
-// this boot's direct map.
-func (l *Layout) InDirectMap(a Addr) bool {
-	_, err := l.KVAToPhys(a)
-	return err == nil
-}
-
 // PFNToKVA returns the direct-map address of the page frame.
 func (l *Layout) PFNToKVA(p PFN) Addr { return l.PhysToKVA(uint64(p) * PageSize) }
 

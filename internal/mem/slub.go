@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 
@@ -48,12 +49,18 @@ type slab struct {
 	sites    []string    // per-object allocation site
 }
 
+// framesPerSection is the number of page frames in one memory section.
+const framesPerSection = sectionSize / layout.PageSize
+
 // SlabAllocator implements kmalloc/kfree over the page allocator.
 type SlabAllocator struct {
 	m       *Memory
-	partial map[uint64][]*slab   // class -> slabs with free objects
-	byPage  map[layout.PFN]*slab // any frame of slab -> slab
-	stats   SlabStats
+	partial map[uint64][]*slab // class -> slabs with free objects
+	// bySection maps any frame of a slab to its slab. Like memory itself it
+	// is kept per 2 MiB section, and a section's table is allocated when
+	// the first slab lands there.
+	bySection []*[framesPerSection]*slab
+	stats     SlabStats
 }
 
 // SlabStats counts allocator activity.
@@ -63,10 +70,28 @@ type SlabStats struct {
 
 func newSlabAllocator(m *Memory) *SlabAllocator {
 	return &SlabAllocator{
-		m:       m,
-		partial: make(map[uint64][]*slab),
-		byPage:  make(map[layout.PFN]*slab),
+		m:         m,
+		partial:   make(map[uint64][]*slab),
+		bySection: make([]*[framesPerSection]*slab, len(m.sections)),
 	}
+}
+
+// slabOf returns the slab owning frame p, or nil if p is not a slab page.
+func (s *SlabAllocator) slabOf(p layout.PFN) *slab {
+	if i := uint64(p) / framesPerSection; i < uint64(len(s.bySection)) && s.bySection[i] != nil {
+		return s.bySection[i][p%framesPerSection]
+	}
+	return nil
+}
+
+// setSlabOf records sl (nil: none) as the owner of frame p.
+func (s *SlabAllocator) setSlabOf(p layout.PFN, sl *slab) {
+	t := s.bySection[p/framesPerSection]
+	if t == nil {
+		t = new([framesPerSection]*slab)
+		s.bySection[p/framesPerSection] = t
+	}
+	t[p%framesPerSection] = sl
 }
 
 // ClassFor returns the size class that serves a request of n bytes.
@@ -207,8 +232,8 @@ type SlabObject struct {
 // ObjectsOnPage lists slab objects overlapping the frame, or nil if the frame
 // is not a slab page.
 func (s *SlabAllocator) ObjectsOnPage(p layout.PFN) []SlabObject {
-	sl, ok := s.byPage[p]
-	if !ok {
+	sl := s.slabOf(p)
+	if sl == nil {
 		return nil
 	}
 	pageStart := s.m.layout.PFNToKVA(p)
@@ -243,13 +268,28 @@ func (s *SlabAllocator) partialSlab(cpu int, class uint64) (*slab, error) {
 	sl.state = make([]byte, sl.objects)
 	sl.sites = make([]string, sl.objects)
 	// Thread the freelist through the objects, last to first, so that
-	// allocation order is ascending addresses (like a fresh SLUB slab).
+	// allocation order is ascending addresses (like a fresh SLUB slab). A
+	// slab is a naturally aligned buddy block of at most 32 KiB, so it lies
+	// inside one memory section: validate the range once and store each
+	// link straight into the section, reporting every store to the tracer
+	// as a CPU write would.
+	base := s.m.layout.PFNToKVA(head)
+	pa, err := s.m.layout.KVAToPhys(base)
+	if err != nil {
+		return nil, err
+	}
+	if err := s.m.checkPhys(pa, bytes); err != nil {
+		return nil, err
+	}
+	buf := s.m.section(pa >> sectionShift)[pa&(sectionSize-1):][:bytes]
 	var next layout.Addr
 	for i := sl.objects - 1; i >= 0; i-- {
-		a := s.objAddr(sl, i)
-		if err := s.m.WriteU64(a, uint64(next)); err != nil {
-			return nil, err
+		off := uint64(i) * class
+		a := base + layout.Addr(off)
+		if s.m.tracer != nil {
+			s.m.tracer.OnCPUAccess(a, 8, true)
 		}
+		binary.LittleEndian.PutUint64(buf[off:], uint64(next))
 		next = a
 	}
 	sl.freeHead = next
@@ -257,7 +297,7 @@ func (s *SlabAllocator) partialSlab(cpu int, class uint64) (*slab, error) {
 		pi := s.m.mustPage(head + i)
 		pi.Flags |= FlagSlab
 		pi.SlabClass = class
-		s.byPage[head+i] = sl
+		s.setSlabOf(head+i, sl)
 	}
 	s.partial[class] = append(s.partial[class], sl)
 	s.stats.SlabsCreated++
@@ -280,7 +320,7 @@ func (s *SlabAllocator) destroySlab(sl *slab) {
 		pi := s.m.mustPage(sl.head + i)
 		pi.Flags &^= FlagSlab
 		pi.SlabClass = 0
-		delete(s.byPage, sl.head+i)
+		s.setSlabOf(sl.head+i, nil)
 	}
 	s.stats.SlabsDestroyed++
 	// Best effort: the page allocator cannot fail here for a valid slab.
@@ -317,8 +357,8 @@ func (s *SlabAllocator) objectOf(a layout.Addr) (*slab, int, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	sl, ok := s.byPage[pfn]
-	if !ok {
+	sl := s.slabOf(pfn)
+	if sl == nil {
 		return nil, 0, fmt.Errorf("mem: %#x is not a slab address", uint64(a))
 	}
 	idx := s.objIndex(sl, a)

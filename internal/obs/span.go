@@ -60,24 +60,12 @@ func Af(key, format string, args ...any) Attr {
 // nothing, so "tracing off" is the zero value everywhere.
 type Tracer struct {
 	nextID atomic.Uint64
-	mu     sync.Mutex
-	sinks  []func(Span)
+	sinks  []func(Span) // fixed at construction
 }
 
 // NewTracer builds a tracer fanning out to the given sinks.
 func NewTracer(sinks ...func(Span)) *Tracer {
 	return &Tracer{sinks: sinks}
-}
-
-// AddSink appends another sink (before the tracer is shared across
-// goroutines).
-func (t *Tracer) AddSink(sink func(Span)) {
-	if t == nil || sink == nil {
-		return
-	}
-	t.mu.Lock()
-	t.sinks = append(t.sinks, sink)
-	t.mu.Unlock()
 }
 
 // Start opens a root span. End completes and emits it.
@@ -104,10 +92,7 @@ func (t *Tracer) start(name string, parent uint64, attrs []Attr) *ActiveSpan {
 }
 
 func (t *Tracer) emit(s Span) {
-	t.mu.Lock()
-	sinks := t.sinks
-	t.mu.Unlock()
-	for _, sink := range sinks {
+	for _, sink := range t.sinks {
 		sink(s)
 	}
 }

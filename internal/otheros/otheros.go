@@ -109,12 +109,6 @@ func (nb *NetBuffer) setCallback(cb layout.Addr) error {
 	return nb.sys.Mem.WriteU64(nb.KVA+ExtFreeOff, stored)
 }
 
-// StoredCallback reads the raw stored (blinded on macOS) callback word —
-// what a device with READ access sees.
-func (nb *NetBuffer) StoredCallback() (uint64, error) {
-	return nb.sys.Mem.ReadU64(nb.KVA + ExtFreeOff)
-}
-
 // Free releases the buffer the way the OS does: load ext_free, unblind it
 // under the macOS policy, and call it with the buffer's address — the
 // dispatch the attacks hijack.

@@ -80,11 +80,6 @@ func (db *LayoutDB) Names() []string {
 	return out
 }
 
-// SizeAlign computes a type's size and alignment.
-func (db *LayoutDB) SizeAlign(t *cminor.Type) (size, align uint64, err error) {
-	return db.sizeAlign(t, map[string]bool{})
-}
-
 func (db *LayoutDB) sizeAlign(t *cminor.Type, busy map[string]bool) (uint64, uint64, error) {
 	if t == nil {
 		return 0, 1, fmt.Errorf("spade: nil type")
